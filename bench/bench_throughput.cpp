@@ -230,8 +230,9 @@ shardSweep(int forced)
 {
     if (forced > 0)
         return {forced};
-    // shards == 1 selects the serial loop, so 2 is the smallest count
-    // that exercises the epoch engine — even on a single-core host.
+    // One shard runs without workers or staging, so 2 is the smallest
+    // count that exercises the staged, barriered epochs — even on a
+    // single-core host.
     const int hw =
         std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
     std::vector<int> counts{2, 4, hw};

@@ -16,6 +16,7 @@
 #include "common/log.hpp"
 #include "common/parse.hpp"
 #include "sim/config_registry.hpp"
+#include "sim/timeline.hpp"
 
 using namespace apres;
 using namespace apres::bench;
@@ -71,21 +72,14 @@ main(int argc, char** argv)
     const Workload wl = makeWorkload(name, scale);
     Gpu gpu(cfg, wl.kernel);
 
-    // Optional phase profile: IPC per 2000-cycle window (sm 0 only
-    // would need SM stats; use GPU-wide instruction deltas).
-    const bool profile = std::getenv("APRES_PROFILE") != nullptr;
+    // Optional phase profile: GPU-wide IPC per 2000-cycle window.
     RunResult r;
-    if (profile) {
-        std::uint64_t last_instr = 0;
-        while (!gpu.done() && gpu.now() < cfg.maxCycles) {
-            gpu.step(2000);
-            const RunResult snap = gpu.collect();
-            std::cerr << "cycle " << gpu.now() << " ipc "
-                      << (snap.instructions - last_instr) / 2000.0 << '\n';
-            last_instr = snap.instructions;
-        }
-        r = gpu.collect();
-        r.completed = gpu.done();
+    if (std::getenv("APRES_PROFILE") != nullptr) {
+        TimelineRecorder recorder(2000);
+        r = recorder.record(gpu);
+        for (const TimelineSample& s : recorder.samples())
+            std::cerr << "cycle " << s.cycleEnd << " ipc " << s.intervalIpc
+                      << '\n';
     } else {
         r = gpu.run();
     }

@@ -62,14 +62,20 @@ Tracer::record(int lane, TraceEventType type, Cycle cycle, Pc pc,
         l.head = (l.head + 1) % capacity_;
     }
     ++l.total;
-    if (lane != engineLane())
-        ++typeCounts_[static_cast<std::size_t>(type)];
+    ++l.typeCounts[static_cast<std::size_t>(type)];
 }
 
 std::uint64_t
 Tracer::eventTypeCount(TraceEventType type) const
 {
-    return typeCounts_[static_cast<std::size_t>(type)];
+    std::uint64_t n = 0;
+    for (int lane = 0; lane < numLanes(); ++lane) {
+        if (lane != engineLane()) {
+            n += lanes_[static_cast<std::size_t>(lane)]
+                     .typeCounts[static_cast<std::size_t>(type)];
+        }
+    }
+    return n;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>
@@ -77,11 +83,10 @@ Tracer::eventTypeCounts() const
 {
     std::vector<std::pair<std::string, std::uint64_t>> counts;
     for (std::size_t i = 0; i < kNumTraceEventTypes; ++i) {
-        if (typeCounts_[i] == 0)
-            continue;
-        counts.emplace_back(
-            traceEventTypeName(static_cast<TraceEventType>(i)),
-            typeCounts_[i]);
+        const auto type = static_cast<TraceEventType>(i);
+        const std::uint64_t n = eventTypeCount(type);
+        if (n != 0)
+            counts.emplace_back(traceEventTypeName(type), n);
     }
     return counts;
 }

@@ -161,6 +161,8 @@ class Tracer
         std::vector<TraceRecord> buf; ///< grows to capacity, then rings
         std::size_t head = 0;         ///< next overwrite slot once full
         std::uint64_t total = 0;      ///< events ever recorded
+        /** Per-type totals; overwrite-proof, one writer like the ring. */
+        std::array<std::uint64_t, kNumTraceEventTypes> typeCounts{};
     };
 
     /** Visit @p lane's retained records, oldest first. */
@@ -170,9 +172,6 @@ class Tracer
     int numSms_;
     std::size_t capacity_;
     std::vector<Lane> lanes_;
-
-    /** Per-type totals over SM+mem lanes; overwrite-proof. */
-    std::array<std::uint64_t, kNumTraceEventTypes> typeCounts_{};
 };
 
 } // namespace apres

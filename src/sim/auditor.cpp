@@ -158,12 +158,13 @@ Auditor::checkInvariants(Cycle now) const
 }
 
 void
-Auditor::checkSkipWindow(Cycle begin, Cycle end) const
+Auditor::checkSkipWindow(const std::vector<Sm*>& skipped, Cycle begin,
+                         Cycle end) const
 {
     if (end <= begin)
         return;
     std::string violations;
-    for (const auto& sm : sms)
+    for (const Sm* sm : skipped)
         violations += sm->auditSkippedWindow(begin, end);
     // The memory system must not have had an event maturing inside the
     // window either, or responses (and the issues they enable) were
@@ -183,7 +184,7 @@ Auditor::checkSkipWindow(Cycle begin, Cycle end) const
     dump << "fast-forward skip audit failed for window [" << begin << ", "
          << end << "):\n"
          << violations << "--- state dump ---\n";
-    for (const auto& sm : sms)
+    for (const Sm* sm : skipped)
         dump << sm->stallReport(begin);
     throwInvariantViolation(dump.str());
 }

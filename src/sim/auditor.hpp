@@ -31,6 +31,7 @@
 #ifndef APRES_SIM_AUDITOR_HPP
 #define APRES_SIM_AUDITOR_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -66,11 +67,14 @@ class Auditor
     void checkInvariants(Cycle now) const;
 
     /**
-     * Re-verify a just-skipped fast-forward window [@p begin, @p end):
-     * no SM may have been able to issue inside it. Throws
-     * SimError(kInvariant) on violation.
+     * Re-verify a window [@p begin, @p end) that @p skipped (one
+     * shard's SMs) just jumped: none of them could have issued inside
+     * it, and no memory event matured inside it. Throws
+     * SimError(kInvariant) on violation. Shards call this concurrently
+     * over disjoint SM sets, while the memory system is quiescent.
      */
-    void checkSkipWindow(Cycle begin, Cycle end) const;
+    void checkSkipWindow(const std::vector<Sm*>& skipped, Cycle begin,
+                         Cycle end) const;
 
     /** Audit passes completed without a violation. */
     std::uint64_t passes() const { return passes_; }
@@ -84,7 +88,7 @@ class Auditor
     const std::vector<std::unique_ptr<Scheduler>>& schedulers;
     const std::vector<std::unique_ptr<Prefetcher>>& prefetchers;
     const MemorySystem& memsys;
-    mutable std::uint64_t passes_ = 0;
+    mutable std::atomic<std::uint64_t> passes_{0}; ///< shared by shards
 };
 
 } // namespace apres

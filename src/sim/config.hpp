@@ -63,25 +63,28 @@ struct GpuConfig
     std::uint64_t maxCycles = 50'000'000;
 
     /**
-     * Event-driven fast-forward ("sim.fastForward"): Gpu::run() jumps
-     * over stretches in which no SM can issue — straight to the next
-     * memory response, L1-hit completion or scoreboard maturity —
-     * crediting idle statistics in bulk. Results are bitwise identical
-     * to the naive cycle-by-cycle loop (the equivalence suite pins
-     * this down); turn off to run the naive loop as the oracle.
+     * Event-driven fast-forward ("sim.fastForward"): Gpu::run() and
+     * Gpu::step() jump over stretches in which no SM can issue —
+     * straight to the next memory response, L1-hit completion or
+     * scoreboard maturity — crediting idle statistics in bulk. Results
+     * are bitwise identical to ticking every SM every cycle (the
+     * equivalence suite pins this down); turn off to run that naive
+     * loop as the oracle.
      */
     bool fastForward = true;
 
     /**
-     * Worker shards for one run ("sim.shards"): Gpu::run() splits the
-     * SMs across this many threads and steps them in deterministic
-     * epochs bounded by the minimum memory response latency, staging
-     * all memory-system traffic per epoch and draining it in canonical
-     * (cycle, SM, program) order. Statistics are bitwise identical to
-     * the serial engine for every shard count (the equivalence suite
-     * pins this), so the key is classified as observation — it never
-     * enters a result-cache key. 1 (the default) runs the serial
-     * engine; 0 picks one shard per hardware core.
+     * Shards for one run ("sim.shards"): the engine splits the SMs
+     * into this many contiguous shards. Shard 0 runs on the calling
+     * thread, each other shard on a worker thread. With more than one
+     * shard, memory traffic is staged per epoch and drained in
+     * canonical (cycle, SM, program) order at the epoch barrier, and
+     * epochs end before any staged request could be answered. With
+     * one (the default) there are no workers, no barrier and no
+     * staging. Statistics are bitwise identical for every shard count
+     * (the equivalence suite pins this), so the key is classified as
+     * observation — it never enters a result-cache key. 0 picks one
+     * shard per hardware core; counts above numSms clamp.
      */
     int shards = 1;
 
@@ -100,10 +103,12 @@ struct GpuConfig
     std::uint64_t auditInterval = 16'384;
 
     /**
-     * Forward-progress watchdog ("sim.watchdogCycles"): when this many
-     * cycles elapse with zero instructions issued and zero memory
-     * responses delivered, Gpu::run throws SimError(kDeadlock) with a
-     * per-warp stall report instead of spinning to maxCycles. 0
+     * Forward-progress watchdog ("sim.watchdogCycles"): once this many
+     * whole cycles pass with zero instructions issued and zero memory
+     * responses delivered, Gpu::run() (or step()) throws
+     * SimError(kDeadlock) with a per-warp stall report instead of
+     * spinning to maxCycles. With the last progress at cycle P, it
+     * fires at cycle P + watchdogCycles + 1, under every engine. 0
      * disables the watchdog.
      */
     std::uint64_t watchdogCycles = 10'000'000;

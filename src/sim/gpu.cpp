@@ -30,8 +30,7 @@ namespace apres {
 
 namespace {
 
-/** Simulated cycles between interrupt-hook polls (job deadlines). */
-constexpr Cycle kInterruptCheckInterval = 16'384;
+constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
 
 std::string
 upperCased(const std::string& name)
@@ -100,23 +99,14 @@ Gpu::Gpu(const GpuConfig& config, const Kernel& kernel_ref)
             cfg.numSms, static_cast<std::size_t>(cfg.traceBufferEvents));
     }
     if (cfg.metrics) {
-        // Under the parallel engine every SM samples into a private
-        // registry (no cross-thread contention); the serial engine
-        // keeps the single shared one. Merged sums are identical
-        // either way (integral samples, exact in double).
-        if (resolveShardCount() > 1) {
-            smMetrics_.reserve(sms.size());
-            for (std::size_t i = 0; i < sms.size(); ++i)
-                smMetrics_.push_back(std::make_unique<MetricsRegistry>());
-        } else {
-            metrics_ = std::make_unique<MetricsRegistry>();
-        }
+        // One registry per SM, so shard workers never contend.
+        for (std::size_t i = 0; i < sms.size(); ++i)
+            smMetrics_.push_back(std::make_unique<MetricsRegistry>());
     }
-    if (tracer_ || metrics_ || !smMetrics_.empty()) {
+    if (tracer_ || cfg.metrics) {
         memsys->setTracer(tracer_.get());
         for (std::size_t i = 0; i < sms.size(); ++i) {
-            MetricsRegistry* m =
-                smMetrics_.empty() ? metrics_.get() : smMetrics_[i].get();
+            MetricsRegistry* m = cfg.metrics ? smMetrics_[i].get() : nullptr;
             sms[i]->setObservability(tracer_.get(), m);
             schedulers[i]->setObservability(tracer_.get(), m);
             if (prefetchers[i])
@@ -131,7 +121,7 @@ bool
 Gpu::done() const
 {
     // Sm::done() is monotone (a drained SM never wakes up again), so a
-    // prefix pointer over the SM vector makes the per-cycle check
+    // prefix pointer over the SM vector makes the per-epoch check
     // amortized O(1) instead of an SMs x warps scan: only the first
     // still-active SM is ever queried, and each SM is passed at most
     // once over the whole run.
@@ -143,13 +133,7 @@ Gpu::done() const
 void
 Gpu::step(Cycle cycles)
 {
-    const Cycle end = cycle + cycles;
-    while (cycle < end && !done()) {
-        memsys->tick(cycle);
-        for (auto& sm : sms)
-            sm->tick(cycle);
-        ++cycle;
-    }
+    advanceTo(cycle + std::min<Cycle>(cycles, cfg.maxCycles - cycle));
 }
 
 int
@@ -167,11 +151,13 @@ Gpu::resolveShardCount() const
 RunResult
 Gpu::run()
 {
-    const int shard_count = resolveShardCount();
-    if (shard_count > 1)
-        runParallelLoop(shard_count);
-    else
-        runSerialLoop();
+    advanceTo(cfg.maxCycles);
+    return finish();
+}
+
+RunResult
+Gpu::finish()
+{
     if (auditor_)
         auditor_->checkInvariants(cycle);
     RunResult result = collect();
@@ -182,116 +168,6 @@ Gpu::run()
     }
     writeTraceFile();
     return result;
-}
-
-void
-Gpu::runSerialLoop()
-{
-    // Forward-progress watchdog state: "progress" is an instruction
-    // issuing or a memory response arriving. Anything else (scheduler
-    // throttling, barrier waits, MSHR pressure) resolves only through
-    // one of those two, so their joint absence over watchdogCycles is
-    // a genuine deadlock/livelock.
-    const std::uint64_t watchdog = cfg.watchdogCycles;
-    Cycle lastProgress = cycle;
-    std::uint64_t lastResponses = memsys->responsesDelivered();
-    Cycle nextAudit =
-        auditor_ ? cycle + cfg.auditInterval : std::numeric_limits<Cycle>::max();
-    Cycle nextInterrupt = cycle + kInterruptCheckInterval;
-
-    while (cycle < cfg.maxCycles && !done()) {
-        memsys->tick(cycle);
-        bool issued = false;
-        for (auto& sm : sms)
-            issued = sm->tick(cycle) || issued;
-        if (issued) {
-            lastProgress = cycle;
-        } else {
-            const std::uint64_t responses = memsys->responsesDelivered();
-            if (responses != lastResponses) {
-                lastResponses = responses;
-                lastProgress = cycle;
-            }
-        }
-        ++cycle;
-
-        if (auditor_ && cycle >= nextAudit) {
-            auditor_->checkInvariants(cycle);
-            nextAudit = cycle + cfg.auditInterval;
-        }
-        if (interruptCheck_ && cycle >= nextInterrupt) {
-            interruptCheck_();
-            nextInterrupt = cycle + kInterruptCheckInterval;
-        }
-        if (watchdog != 0 && cycle - lastProgress >= watchdog)
-            reportDeadlock(lastProgress);
-
-        // Re-check done() before considering a jump: the kernel can
-        // drain *mid-iteration* without an issue (the final memory
-        // response retires the last warp), and a jump computed over
-        // all-done SMs has no wakeup to bound it — it would overshoot
-        // to the cycle cap and credit the whole gap as idle.
-        if (done())
-            break;
-
-        if (!cfg.fastForward || issued)
-            continue;
-
-        // Event-driven fast-forward: no SM issued this cycle. Find the
-        // earliest cycle anything can happen again — a memory response
-        // maturing, an L1-hit completing, or a stalled register
-        // becoming ready — and jump there, crediting the provably
-        // issue-free cycles in bulk. Statistics stay bitwise identical
-        // to ticking through them (the skipped ticks would have been
-        // pure idle increments). Skips clamp to the next watchdog
-        // deadline, audit tick and interrupt poll so none of them can
-        // be jumped over.
-        Cycle wake = memsys->nextEventCycle();
-        for (const auto& sm : sms)
-            wake = std::min(wake, sm->nextWakeup(cycle));
-        Cycle target = std::min(wake, cfg.maxCycles);
-        if (watchdog != 0)
-            target = std::min(target, lastProgress + watchdog);
-        if (auditor_)
-            target = std::min(target, nextAudit);
-        if (interruptCheck_)
-            target = std::min(target, nextInterrupt);
-        if (target > cycle) {
-            const Cycle skipped = target - cycle;
-            for (auto& sm : sms)
-                sm->skipIdle(skipped);
-            if (auditor_)
-                auditor_->checkSkipWindow(cycle, target);
-            if (tracer_) {
-                // Engine-lane span so the viewer shows where wall time
-                // was jumped; ts = span start, dur = skipped cycles.
-                tracer_->record(tracer_->engineLane(),
-                                TraceEventType::kFfIdleSpan, cycle,
-                                kInvalidPc, kInvalidWarp, skipped);
-            }
-            cycle = target;
-
-            // Deadline checks fire *at the landing cycle* when a jump
-            // was clamped by one, not one tick later — the parallel
-            // engine checks at its epoch boundaries, and audits,
-            // interrupt polls and watchdog reports must happen at the
-            // same simulated cycle under every engine.
-            if (auditor_ && cycle >= nextAudit) {
-                auditor_->checkInvariants(cycle);
-                nextAudit = cycle + cfg.auditInterval;
-            }
-            if (interruptCheck_ && cycle >= nextInterrupt) {
-                interruptCheck_();
-                nextInterrupt = cycle + kInterruptCheckInterval;
-            }
-            // wake > cycle proves the tick at the landing cycle cannot
-            // issue or deliver anything, so reporting now (rather than
-            // after ticking it) loses nothing.
-            if (watchdog != 0 && cycle - lastProgress >= watchdog &&
-                wake > cycle)
-                reportDeadlock(lastProgress);
-        }
-    }
 }
 
 namespace {
@@ -367,12 +243,12 @@ class SpinBarrier
     std::atomic<std::uint64_t> generation_{0};
 };
 
-/** One worker's slice of the machine plus its per-epoch report. */
+/** One shard's slice of the machine plus its per-epoch report. */
 struct ShardState
 {
     std::vector<Sm*> sms;        ///< owned SMs (contiguous slice)
     std::size_t donePrefix = 0;  ///< owned SMs [0, donePrefix) drained
-    Cycle brokeAt = 0;           ///< cycle the epoch loop exited at
+    Cycle brokeAt = 0;           ///< cycle the epoch loop stopped at
     Cycle lastIssue = 0;         ///< latest owned-SM issue this epoch
     bool issuedAny = false;      ///< any owned SM issued this epoch
     std::exception_ptr error;    ///< captured epoch failure, if any
@@ -381,245 +257,227 @@ struct ShardState
 } // namespace
 
 void
-Gpu::runParallelLoop(int shard_count)
+Gpu::advanceTo(Cycle cap)
 {
     // Contiguous SM partition: shard s owns SMs [s*n/k, (s+1)*n/k).
-    // The partition never affects results — SMs only interact through
-    // the canonical epoch drain — it only balances work.
+    // The partition never affects results — SMs interact only through
+    // the memory system — it only balances work.
+    const int shard_count = resolveShardCount();
+    const bool staged = shard_count > 1;
     std::vector<ShardState> shards(static_cast<std::size_t>(shard_count));
     for (int i = 0; i < cfg.numSms; ++i) {
-        const int s = i * shard_count / cfg.numSms;
-        shards[static_cast<std::size_t>(s)].sms.push_back(
-            sms[static_cast<std::size_t>(i)].get());
+        shards[static_cast<std::size_t>(i * shard_count / cfg.numSms)]
+            .sms.push_back(sms[static_cast<std::size_t>(i)].get());
     }
 
-    // Epoch window, published by the coordinator before barrier A;
-    // the barrier's generation counter orders the writes for workers.
-    Cycle epochStart = 0;
-    Cycle epochEnd = 0;
-    std::atomic<bool> stop{false};
-    SpinBarrier barrier(shard_count);
-
-    // One shard's epoch: tick owned SMs over [epochStart, epochEnd),
-    // exactly as the serial loop would have — SMs share no mutable
-    // state (memory traffic is staged per SM), so the slice evolves
-    // bit-identically regardless of the other shards' pacing. The
-    // shard-local fast-forward skip is sound for the same reason:
-    // Sm::nextWakeup() bounds depend only on the SM itself, and no
-    // memory response can mature inside the epoch by construction.
-    const auto runEpoch = [this, &epochStart, &epochEnd](ShardState& shard) {
-        const Cycle end = epochEnd;
-        Cycle c = epochStart;
+    // One shard's epoch: tick its SMs over [c, end) exactly as a
+    // cycle-by-cycle loop would, jumping provably issue-free stretches
+    // under fast-forward. No response is delivered inside an epoch, so
+    // SMs share no mutable state within it, and each shard evolves
+    // bit-identically whatever the other shards' pacing. Staged, a
+    // drained shard stops early; the caller credits the rest of the
+    // epoch. Unstaged, submissions reach the event queue at once and
+    // can bring the epoch end closer, and the one shard stops early
+    // only when the whole machine is done.
+    const auto runEpoch = [this, staged](ShardState& shard, Cycle c,
+                                         Cycle end) {
         shard.issuedAny = false;
-        while (c < end) {
-            bool issued = false;
-            for (Sm* sm : shard.sms)
-                issued = sm->tick(c) || issued;
-            if (issued) {
-                shard.issuedAny = true;
-                shard.lastIssue = c;
-            }
-            ++c;
-            while (shard.donePrefix < shard.sms.size() &&
-                   shard.sms[shard.donePrefix]->done())
-                ++shard.donePrefix;
-            if (shard.donePrefix == shard.sms.size())
-                break; // drained; the coordinator credits [c, end)
-            if (!cfg.fastForward || issued)
-                continue;
-            Cycle wake = end;
-            for (Sm* sm : shard.sms)
-                wake = std::min(wake, sm->nextWakeup(c));
-            if (wake <= c)
-                continue;
-            const Cycle skipped = wake - c;
-            for (Sm* sm : shard.sms)
-                sm->skipIdle(skipped);
-            if (auditor_) {
-                // Shard-local skip-window audit: the memory-system
-                // half of Auditor::checkSkipWindow holds by epoch
-                // construction, and the other shards' SMs are not
-                // ours to inspect mid-epoch.
-                std::string violations;
+        try {
+            do {
+                bool issued = false;
                 for (Sm* sm : shard.sms)
-                    violations += sm->auditSkippedWindow(c, wake);
-                if (!violations.empty()) {
-                    std::ostringstream dump;
-                    dump << "fast-forward skip audit failed for window ["
-                         << c << ", " << wake << "):\n"
-                         << violations << "--- state dump ---\n";
-                    for (Sm* sm : shard.sms)
-                        dump << sm->stallReport(c);
-                    throwInvariantViolation(dump.str());
+                    issued = sm->tick(c) || issued;
+                if (issued) {
+                    shard.issuedAny = true;
+                    shard.lastIssue = c;
                 }
-            }
-            c = wake;
+                ++c;
+                while (shard.donePrefix < shard.sms.size() &&
+                       shard.sms[shard.donePrefix]->done())
+                    ++shard.donePrefix;
+                if (shard.donePrefix == shard.sms.size() &&
+                    (staged || memsys->idle()))
+                    break;
+                if (!staged)
+                    end = std::min(end, memsys->nextEventCycle());
+                if (!cfg.fastForward || issued || c >= end)
+                    continue;
+                Cycle wake = end;
+                for (Sm* sm : shard.sms)
+                    wake = std::min(wake, sm->nextWakeup(c));
+                if (wake <= c)
+                    continue;
+                for (Sm* sm : shard.sms)
+                    sm->skipIdle(wake - c);
+                if (auditor_)
+                    auditor_->checkSkipWindow(shard.sms, c, wake);
+                if (tracer_ && !staged) {
+                    // Engine-lane span showing where wall time was
+                    // jumped; ts = span start, dur = skipped cycles.
+                    tracer_->record(tracer_->engineLane(),
+                                    TraceEventType::kFfIdleSpan, c,
+                                    kInvalidPc, kInvalidWarp, wake - c);
+                }
+                c = wake;
+            } while (c < end);
+        } catch (...) {
+            shard.error = std::current_exception();
         }
         shard.brokeAt = c;
     };
 
+    // Shards 1..k-1 run on worker threads that meet the caller at two
+    // barrier crossings per epoch: A publishes the window (the
+    // barrier's generation counter orders it for the workers), B ends
+    // the epoch. One shard runs alone on the calling thread.
+    Cycle epochStart = 0;
+    Cycle epochEnd = 0;
+    std::atomic<bool> stop{false};
+    std::unique_ptr<SpinBarrier> barrier;
+    if (staged)
+        barrier = std::make_unique<SpinBarrier>(shard_count);
     std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(shard_count) - 1);
     for (int s = 1; s < shard_count; ++s) {
         workers.emplace_back([&, s] {
-            ShardState& shard = shards[static_cast<std::size_t>(s)];
             while (true) {
-                barrier.arriveAndWait(); // A: epoch published (or stop)
+                barrier->arriveAndWait(); // A: epoch published (or stop)
                 if (stop.load(std::memory_order_acquire))
                     return;
-                try {
-                    runEpoch(shard);
-                } catch (...) {
-                    shard.error = std::current_exception();
-                }
-                barrier.arriveAndWait(); // B: epoch complete
+                runEpoch(shards[static_cast<std::size_t>(s)], epochStart,
+                         epochEnd);
+                barrier->arriveAndWait(); // B: epoch complete
             }
         });
     }
-
-    // Release and join the pool exactly once, on every exit path.
-    bool stopped = false;
+    // Release the workers (waiting at A) and join them, on every exit
+    // path.
     const auto shutdown = [&] {
-        if (stopped)
+        if (workers.empty())
             return;
-        stopped = true;
         stop.store(true, std::memory_order_release);
-        barrier.arriveAndWait();
+        barrier->arriveAndWait();
         for (std::thread& t : workers)
             t.join();
-        memsys->setStaging(false);
+        workers.clear();
     };
 
-    const std::uint64_t watchdog = cfg.watchdogCycles;
-    Cycle lastProgress = cycle;
-    std::uint64_t lastResponses = memsys->responsesDelivered();
-    Cycle nextAudit = auditor_ ? cycle + cfg.auditInterval
-                               : std::numeric_limits<Cycle>::max();
-    Cycle nextInterrupt = cycle + kInterruptCheckInterval;
     const Cycle minRespLat =
         std::max<Cycle>(memsys->minResponseLatency(), 1);
-
     try {
-        while (cycle < cfg.maxCycles && !done()) {
-            // Deliveries happen only here: the epoch below is clamped
-            // to the next event cycle, so mid-epoch the serial engine
-            // would not have delivered anything either.
+        while (cycle < cap && !done()) {
+            // Deliveries happen only here, at an epoch start.
             memsys->tick(cycle);
             const std::uint64_t responses = memsys->responsesDelivered();
-            if (responses != lastResponses) {
-                lastResponses = responses;
-                lastProgress = cycle;
+            if (responses != lastResponses_) {
+                lastResponses_ = responses;
+                lastProgress_ = cycle;
             }
 
-            // Epoch bound. Deliveries must happen only at epoch
-            // start, so the epoch may run until the earliest cycle a
-            // response can mature:
-            //  - anything already in flight matures at
-            //    nextEventCycle() at the earliest;
-            //  - any request submitted *during* the epoch is submitted
-            //    by an SM at a cycle >= that SM's nextWakeup(cycle)
-            //    (deliveries at `cycle` just happened in tick() above
-            //    and dirtied their SM, so nextWakeup is conservative),
-            //    and matures >= minRespLat cycles after submission.
-            // Hence min over SMs of nextWakeup + minRespLat is a sound
-            // lookahead — typically far past the old cycle+minRespLat
-            // clamp when the machine is waiting on DRAM. The remaining
-            // clamps keep the watchdog, audit cadence, interrupt poll
-            // and cycle cap on their exact serial cycles.
-            Cycle minIssue = std::numeric_limits<Cycle>::max();
-            for (const auto& sm : sms)
-                minIssue = std::min(minIssue, sm->nextWakeup(cycle));
-            const Cycle horizon =
-                minIssue >= std::numeric_limits<Cycle>::max() - minRespLat
-                    ? std::numeric_limits<Cycle>::max()
-                    : minIssue + minRespLat;
-            Cycle end = std::min(horizon, memsys->nextEventCycle());
-            end = std::min(end, static_cast<Cycle>(cfg.maxCycles));
-            if (watchdog != 0)
-                end = std::min(end, lastProgress + watchdog);
-            if (auditor_)
-                end = std::min(end, nextAudit);
-            if (interruptCheck_)
-                end = std::min(end, nextInterrupt);
-            if (end <= cycle)
-                end = cycle + 1;
-
-            epochStart = cycle;
-            epochEnd = end;
-            memsys->setStaging(true);
-            barrier.arriveAndWait(); // A: workers start the epoch
-            try {
-                runEpoch(shards[0]);
-            } catch (...) {
-                shards[0].error = std::current_exception();
+            // The epoch ends at the next delivery, the next deadline or
+            // the cap. Staged, it must also end before any request
+            // submitted inside it could be answered (DESIGN.md §15): no
+            // SM submits before its nextWakeup(), and no answer comes
+            // sooner than minResponseLatency(). The naive oracle takes
+            // no wakeup bound: any SM may submit at once.
+            Cycle end =
+                std::min({cap, memsys->nextEventCycle(), nextDeadline()});
+            if (staged) {
+                Cycle minIssue = cycle;
+                if (cfg.fastForward) {
+                    minIssue = kNever;
+                    for (const auto& sm : sms)
+                        minIssue = std::min(minIssue, sm->nextWakeup(cycle));
+                }
+                if (minIssue < kNever - minRespLat)
+                    end = std::min(end, minIssue + minRespLat);
             }
-            barrier.arriveAndWait(); // B: every shard finished
-            memsys->setStaging(false);
+            end = std::max(end, cycle + 1);
 
+            if (staged) {
+                epochStart = cycle;
+                epochEnd = end;
+                memsys->setStaging(true);
+                barrier->arriveAndWait(); // A: workers start the epoch
+                runEpoch(shards[0], cycle, end);
+                barrier->arriveAndWait(); // B: every shard finished
+                memsys->setStaging(false);
+            } else {
+                runEpoch(shards[0], cycle, end);
+            }
             // Deterministic failure propagation: the lowest shard's
             // error wins regardless of wall-clock interleaving.
-            for (ShardState& shard : shards) {
-                if (shard.error) {
-                    const std::exception_ptr error = shard.error;
-                    shutdown();
-                    std::rethrow_exception(error);
-                }
-            }
-
-            // Replay the epoch's memory traffic in canonical order —
-            // identical L2/DRAM state transitions to the serial
-            // engine, at the original submission cycles.
-            memsys->drainStaged();
-
             for (const ShardState& shard : shards) {
+                if (shard.error)
+                    std::rethrow_exception(shard.error);
+            }
+            // Replay the staged traffic in canonical order: the
+            // L2/DRAM transitions of unstaged submission, at the
+            // original submission cycles.
+            if (staged)
+                memsys->drainStaged();
+
+            // The epoch ends where its shards stopped: at `end` while
+            // the machine runs on, else at the latest drain — the exit
+            // cycle of a cycle-by-cycle loop. Shards that stopped
+            // earlier are credited the gap as idle cycles.
+            Cycle reached = staged && !done() ? end : 0;
+            for (const ShardState& shard : shards) {
+                reached = std::max(reached, shard.brokeAt);
                 if (shard.issuedAny)
-                    lastProgress = std::max(lastProgress, shard.lastIssue);
-            }
-
-            // A shard whose SMs all drained broke out early; the
-            // serial loop would have kept ticking those SMs (pure
-            // idle) until the machine-wide end. Credit the difference,
-            // and when the whole machine is done, end the run at the
-            // latest break cycle — the serial exit cycle.
-            Cycle globalEnd = end;
-            if (done()) {
-                Cycle latest = 0;
-                for (const ShardState& shard : shards)
-                    latest = std::max(latest, shard.brokeAt);
-                globalEnd = latest;
+                    lastProgress_ = std::max(lastProgress_, shard.lastIssue);
             }
             for (const ShardState& shard : shards) {
-                if (shard.brokeAt >= globalEnd)
+                if (shard.brokeAt == reached)
                     continue;
-                const Cycle missing = globalEnd - shard.brokeAt;
                 for (Sm* sm : shard.sms)
-                    sm->skipIdle(missing);
+                    sm->skipIdle(reached - shard.brokeAt);
             }
-            cycle = globalEnd;
-
-            if (auditor_ && cycle >= nextAudit) {
-                auditor_->checkInvariants(cycle);
-                nextAudit = cycle + cfg.auditInterval;
-            }
-            if (interruptCheck_ && cycle >= nextInterrupt) {
-                interruptCheck_();
-                nextInterrupt = cycle + kInterruptCheckInterval;
-            }
-            if (watchdog != 0 && cycle - lastProgress >= watchdog)
-                reportDeadlock(lastProgress);
+            cycle = reached;
+            fireDeadlines();
         }
-        shutdown();
     } catch (...) {
         shutdown();
         throw;
     }
+    shutdown();
+}
+
+Cycle
+Gpu::nextDeadline() const
+{
+    Cycle due = kNever;
+    if (cfg.watchdogCycles != 0)
+        due = lastProgress_ + cfg.watchdogCycles + 1;
+    if (auditor_)
+        due = std::min(due, nextAudit_);
+    if (interruptCheck_)
+        due = std::min(due, nextInterrupt_);
+    return due;
+}
+
+void
+Gpu::fireDeadlines()
+{
+    if (auditor_ && cycle >= nextAudit_) {
+        auditor_->checkInvariants(cycle);
+        nextAudit_ = cycle + cfg.auditInterval;
+    }
+    if (interruptCheck_ && cycle >= nextInterrupt_) {
+        interruptCheck_();
+        nextInterrupt_ = cycle + kInterruptCheckInterval;
+    }
+    // Every cycle strictly between the last progress and now passed
+    // without any: fire once there are watchdogCycles of them.
+    if (cfg.watchdogCycles != 0 &&
+        cycle - lastProgress_ > cfg.watchdogCycles)
+        reportDeadlock();
 }
 
 const MetricsRegistry*
 Gpu::metrics() const
 {
     if (smMetrics_.empty())
-        return metrics_.get();
+        return nullptr;
     mergedMetrics_ = std::make_unique<MetricsRegistry>();
     for (const auto& m : smMetrics_)
         mergedMetrics_->merge(*m);
@@ -647,13 +505,13 @@ Gpu::writeTraceFile() const
 }
 
 void
-Gpu::reportDeadlock(Cycle last_progress) const
+Gpu::reportDeadlock() const
 {
     std::ostringstream out;
     out << "no forward progress for " << cfg.watchdogCycles
         << " cycles (zero instructions issued, zero memory responses "
            "delivered since cycle "
-        << last_progress << "; now at cycle " << cycle << ")\n"
+        << lastProgress_ << "; now at cycle " << cycle << ")\n"
         << stallReport();
     throwDeadlockError(out.str());
 }

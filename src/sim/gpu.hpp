@@ -120,38 +120,46 @@ class Gpu
     Gpu& operator=(const Gpu&) = delete;
 
     /**
-     * Run to completion (or the cycle cap) and collect results.
+     * Run to completion (or the cycle cap), then finish().
      *
-     * With GpuConfig::fastForward (default on) the loop is
-     * event-driven: whenever no SM issued, it jumps straight to the
-     * next cycle anything can happen (memory response, L1-hit
-     * completion, scoreboard maturity, cycle cap) and credits the
-     * skipped idle cycles in bulk. Every statistic is bitwise
-     * identical to the naive cycle-by-cycle loop, which remains
-     * available as the oracle via fastForward=false.
+     * The engine is one epoch loop. Each epoch starts by delivering
+     * the matured memory responses and ends at the next delivery, the
+     * next deadline (audit, interrupt poll, watchdog) or the cycle
+     * cap; in between, the SMs tick cycle by cycle.
+     *
+     * With GpuConfig::fastForward (default on) a stretch in which no
+     * SM can issue is jumped in one step, crediting the skipped idle
+     * cycles in bulk. Every statistic is bitwise identical to ticking
+     * through it, which remains available as the oracle via
+     * fastForward=false.
      *
      * With GpuConfig::shards > 1 (or 0 = one per hardware core) the
-     * SMs are split across worker threads and stepped in deterministic
-     * epochs bounded by the minimum memory response latency: inside an
-     * epoch SMs only stage memory requests, and the coordinator drains
-     * the staged traffic in canonical (cycle, SM, program) order at
-     * the epoch barrier — exactly the order the serial engine would
-     * have processed it. Statistics stay bitwise identical to the
-     * serial engine for every shard count (the equivalence suite pins
-     * this); the serial loop remains the oracle via shards=1.
+     * SMs are split across worker threads. Inside an epoch SMs only
+     * stage their memory requests, and the staged traffic is drained
+     * in canonical (cycle, SM, program) order at the epoch barrier —
+     * the order one shard would have submitted it in. Statistics stay
+     * bitwise identical for every shard count (the equivalence suite
+     * pins this).
      *
-     * Throws SimError(kDeadlock) when GpuConfig::watchdogCycles pass
-     * with zero instructions issued and zero memory responses
-     * delivered, and SimError(kInvariant) when auditing is on and a
-     * structural invariant breaks.
+     * Throws SimError(kDeadlock) once GpuConfig::watchdogCycles whole
+     * cycles pass with zero instructions issued and zero memory
+     * responses delivered, and SimError(kInvariant) when auditing is
+     * on and a structural invariant breaks.
      */
     RunResult run();
 
     /**
-     * Install a hook called every ~16K simulated cycles (and around
-     * every fast-forward skip). The sweep runner uses it for
-     * cooperative per-job wall-clock deadlines: the hook throws to
-     * abort the run. Pass nullptr to clear.
+     * The end of a run: a final audit, collect(), the completed flag,
+     * a warning when the cycle cap cut the kernel short, and the trace
+     * file. run() returns this; step()-driven callers call it once
+     * they stop stepping.
+     */
+    RunResult finish();
+
+    /**
+     * Install a hook called every ~16K simulated cycles. The sweep
+     * runner uses it for cooperative per-job wall-clock deadlines: the
+     * hook throws to abort the run. Pass nullptr to clear.
      */
     void setInterruptCheck(std::function<void()> hook)
     {
@@ -173,10 +181,12 @@ class Gpu
     std::string stallReport() const;
 
     /**
-     * Advance at most @p cycles (for incremental-driving tests and the
-     * timeline recorder), stopping early when the kernel drains — so
-     * now() after the final step is the true finish cycle, exactly as
-     * run() would report, instead of the next interval boundary.
+     * Advance at most @p cycles, never past the cycle cap, through the
+     * same engine as run() — fast-forward, shards, audits, interrupt
+     * polls and the watchdog included, their cadence carried across
+     * calls. Stops early when the kernel drains, so now() after the
+     * final step is the finish cycle run() would report. Used by the
+     * timeline recorder and incremental-driving tests.
      */
     void step(Cycle cycles);
 
@@ -228,43 +238,45 @@ class Gpu
     const Tracer* tracer() const { return tracer_.get(); }
 
     /**
-     * The metrics registry (null unless GpuConfig::metrics). Under the
-     * parallel engine each SM samples into its own registry; this
-     * accessor then returns a freshly merged snapshot (rebuilt per
-     * call, owned by the Gpu).
+     * The metrics registry (null unless GpuConfig::metrics): a freshly
+     * merged snapshot of the per-SM registries, rebuilt per call and
+     * owned by the Gpu.
      */
     const MetricsRegistry* metrics() const;
 
     /** Emit the Chrome trace JSON; no-op when tracing is off. */
     void writeTrace(std::ostream& os) const;
 
+  private:
+    /** Simulated cycles between interrupt-hook polls (job deadlines). */
+    static constexpr Cycle kInterruptCheckInterval = 16'384;
+
     /**
-     * Write the trace to GpuConfig::traceFile; no-op when tracing is
-     * off or no file is configured. run() calls this on completion;
-     * timeline/step drivers call it themselves. Throws
+     * The engine: advance in epochs until @p cap (<= maxCycles) or
+     * until the kernel drains. See run().
+     */
+    void advanceTo(Cycle cap);
+
+    /** Earliest cycle a deadline (watchdog, audit, interrupt) is due. */
+    Cycle nextDeadline() const;
+
+    /** Run every deadline due at the current cycle. */
+    void fireDeadlines();
+
+    [[noreturn]] void reportDeadlock() const;
+
+    /**
+     * Write the trace to GpuConfig::traceFile (finish() calls this);
+     * no-op when tracing is off or no file is configured. Throws
      * SimError(kConfig) when the file cannot be opened.
      */
     void writeTraceFile() const;
-
-  private:
-    [[noreturn]] void reportDeadlock(Cycle last_progress) const;
 
     /**
      * GpuConfig::shards with 0 resolved to the hardware thread count,
      * clamped to [1, numSms].
      */
     int resolveShardCount() const;
-
-    /** The classic cycle loop (shards == 1): the oracle engine. */
-    void runSerialLoop();
-
-    /**
-     * The sharded epoch engine (shards > 1): SMs split across
-     * @p shard_count threads, stepped in deterministic epochs with all
-     * memory traffic staged per epoch and drained in canonical order
-     * at the barrier. Bitwise identical statistics to runSerialLoop().
-     */
-    void runParallelLoop(int shard_count);
 
     GpuConfig cfg;
     Rng rng_;
@@ -276,15 +288,11 @@ class Gpu
     std::unique_ptr<Auditor> auditor_; ///< built when cfg.audit
     std::unique_ptr<Tracer> tracer_;   ///< built when cfg.trace
 
-    /** Global metrics registry (cfg.metrics on, serial engine). */
-    std::unique_ptr<MetricsRegistry> metrics_;
-
     /**
-     * Per-SM metrics registries (cfg.metrics on, shards > 1): each SM
-     * samples into its own registry so worker threads never contend;
-     * merged on demand by metrics(). Sample values are integral, so
-     * the merged double sums are exact and bitwise identical to the
-     * serial engine's interleaved accumulation.
+     * Per-SM metrics registries (cfg.metrics on): each SM samples into
+     * its own registry so shard workers never contend; merged on
+     * demand by metrics(). Sample values are integral, so the merged
+     * double sums are exact whatever the shard count.
      */
     std::vector<std::unique_ptr<MetricsRegistry>> smMetrics_;
 
@@ -292,6 +300,15 @@ class Gpu
     mutable std::unique_ptr<MetricsRegistry> mergedMetrics_;
     std::function<void()> interruptCheck_;
     Cycle cycle = 0;
+
+    // Deadline state, carried across step() calls. "Progress" is an
+    // instruction issuing or a memory response arriving: anything else
+    // (throttling, barriers, MSHR pressure) resolves only through one
+    // of those two, so their joint absence is a deadlock or livelock.
+    Cycle lastProgress_ = 0;           ///< latest cycle with progress
+    std::uint64_t lastResponses_ = 0;  ///< responsesDelivered() last seen
+    Cycle nextAudit_ = cfg.auditInterval;
+    Cycle nextInterrupt_ = kInterruptCheckInterval;
 
     /**
      * done() cache: SMs [0, firstActiveSm_) have drained. Sm::done()

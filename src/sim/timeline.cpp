@@ -5,7 +5,6 @@
 
 #include "timeline.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "common/log.hpp"
@@ -31,16 +30,12 @@ TimelineRecorder::record(Gpu& gpu)
 
     while (!gpu.done() && gpu.now() < gpu.maxCycles()) {
         // The final interval may be cut short by the cycle cap (or by
-        // the kernel finishing mid-window): never step past maxCycles,
-        // and normalize the interval IPC by the cycles actually
-        // simulated so the partial tail row is not diluted.
-        const Cycle chunk =
-            std::min<Cycle>(interval_, gpu.maxCycles() - gpu.now());
+        // the kernel finishing mid-window): normalize the interval IPC
+        // by the cycles actually simulated so the partial tail row is
+        // not diluted.
         const Cycle start = gpu.now();
-        gpu.step(chunk);
+        gpu.step(interval_);
         const Cycle elapsed = gpu.now() - start;
-        if (elapsed == 0)
-            break; // no forward progress: avoid a 0-width sample
         const RunResult snap = gpu.collect();
 
         TimelineSample sample;
@@ -65,9 +60,7 @@ TimelineRecorder::record(Gpu& gpu)
         last_prefetches = snap.prefetchesIssued;
     }
 
-    RunResult result = gpu.collect();
-    result.completed = gpu.done();
-    return result;
+    return gpu.finish();
 }
 
 void

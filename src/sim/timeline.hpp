@@ -39,9 +39,11 @@ class TimelineRecorder
     explicit TimelineRecorder(Cycle interval);
 
     /**
-     * Drive @p gpu to completion (or its cycle cap), sampling as it
-     * goes.
-     * @return the final RunResult
+     * Drive @p gpu to completion (or its cycle cap) through
+     * Gpu::step(), sampling as it goes. Stepping runs the real engine
+     * (fast-forward, shards, audits, interrupt polls, watchdog), so a
+     * wedged machine throws SimError(kDeadlock) here as in Gpu::run().
+     * @return Gpu::finish(): the RunResult Gpu::run() would return
      */
     RunResult record(Gpu& gpu);
 

@@ -393,9 +393,6 @@ run(int argc, char** argv)
                 Gpu gpu(cfg, job.kernel);
                 TimelineRecorder recorder(timeline_interval);
                 r = recorder.record(gpu);
-                // run() flushes the trace itself; the step()-driven
-                // timeline path must flush explicitly.
-                gpu.writeTraceFile();
                 recorder.toCsv(timeline_csv);
             } else {
                 r = simulate(cfg, job.kernel);

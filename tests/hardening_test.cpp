@@ -19,6 +19,7 @@
 #include "sim/gpu.hpp"
 #include "sim/policy_registry.hpp"
 #include "sim/runner.hpp"
+#include "sim/timeline.hpp"
 #include "sim_error_matchers.hpp"
 #include "workloads/workload.hpp"
 
@@ -185,6 +186,68 @@ TEST(Watchdog, HealthyRunsAreUntouched)
     cfg.watchdogCycles = 100'000;
     const RunResult r = simulate(cfg, *kernel);
     EXPECT_TRUE(r.completed);
+}
+
+TEST(Watchdog, EveryEngineGivesTheSameVerdict)
+{
+    // The watchdog fires only once watchdogCycles whole cycles pass
+    // with no issue and no delivery. A one-warp-per-SM load chain sits
+    // idle for a memory round trip after every load, so sweeping the
+    // watchdog across that gap must fire below it and complete above
+    // it — at the same value, with the same report, under the naive,
+    // fast-forward and sharded engines.
+    KernelBuilder b("load-chain");
+    const int v = b.load(std::make_unique<StridedGen>(
+        Addr{0x1000'0000}, std::int64_t{1} << 20, std::int64_t{1} << 16));
+    b.alu({v});
+    const Kernel kernel = b.build(/*trip_count=*/4);
+
+    GpuConfig cfg;
+    cfg.numSms = 2;
+    cfg.sm.warpsPerSm = 1;
+    cfg.sm.warpsPerBlock = 1;
+    cfg.sm.jobsPerWarp = 1;
+    cfg.maxCycles = 100'000;
+    const auto outcome = [&](std::uint64_t watchdog, bool ff, int shards) {
+        GpuConfig c = cfg;
+        c.watchdogCycles = watchdog;
+        c.fastForward = ff;
+        c.shards = shards;
+        try {
+            return "completed at cycle " +
+                std::to_string(simulate(c, kernel).cycles);
+        } catch (const SimError& e) {
+            return std::string(e.what());
+        }
+    };
+
+    bool fired = false;
+    bool completed = false;
+    for (std::uint64_t watchdog = 400; watchdog <= 500; ++watchdog) {
+        const std::string ff = outcome(watchdog, true, 1);
+        EXPECT_EQ(outcome(watchdog, false, 1), ff) << "naive at " << watchdog;
+        EXPECT_EQ(outcome(watchdog, true, 2), ff) << "2 shards at " << watchdog;
+        (ff.rfind("completed", 0) == 0 ? completed : fired) = true;
+    }
+    EXPECT_TRUE(fired);
+    EXPECT_TRUE(completed);
+}
+
+TEST(Timeline, WedgedSchedulerThrowsDeadlock)
+{
+    // The recorder steps the real engine, watchdog included: a wedged
+    // machine dies loudly instead of sampling idle rows to maxCycles.
+    registerWedgeScheduler();
+    const auto kernel = smallKernel();
+    GpuConfig cfg = auditedGpu();
+    cfg.audit = false;
+    cfg.scheduler = "wedge";
+    cfg.prefetcher = "none";
+    cfg.watchdogCycles = 5'000;
+    Gpu gpu(cfg, *kernel);
+    TimelineRecorder recorder(1'000);
+    expectSimError(SimErrorKind::kDeadlock, "no forward progress",
+                   [&] { recorder.record(gpu); });
 }
 
 // --------------------------------------------------------------------

@@ -405,6 +405,25 @@ TEST(Timeline, FinalPartialIntervalIsKept)
     EXPECT_NEAR(sum, static_cast<double>(r.instructions), 1e-6);
 }
 
+TEST(Timeline, RecordMatchesRunAtEveryShardCount)
+{
+    // The recorder steps the engine Gpu::run() uses — fast-forward,
+    // shards and the audit cadence carried across steps — so its final
+    // result is run()'s, every key and value.
+    const Workload wl = makeWorkload("KM", 0.05);
+    for (int shards : {1, 2}) {
+        GpuConfig cfg = smallGpu("laws", "sap");
+        cfg.shards = shards;
+        cfg.audit = true;
+        const StatSet reference = simulate(cfg, wl.kernel).toStatSet();
+        Gpu gpu(cfg, wl.kernel);
+        TimelineRecorder recorder(701);
+        const StatSet recorded = recorder.record(gpu).toStatSet();
+        EXPECT_EQ(recorded.entries(), reference.entries())
+            << "shards=" << shards;
+    }
+}
+
 TEST(Timeline, MaxCyclesCapEndsMidIntervalWithoutOvershoot)
 {
     const Workload wl = makeWorkload("KM", 0.2);
