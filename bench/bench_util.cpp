@@ -6,11 +6,9 @@
 #include "bench_util.hpp"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "common/log.hpp"
 #include "common/parse.hpp"
-#include "sim/config_registry.hpp"
 
 namespace apres::bench {
 
@@ -34,82 +32,10 @@ benchScale()
     return parseBenchScale(std::getenv("APRES_BENCH_SCALE"));
 }
 
-BenchOptions
-parseBenchArgs(int argc, char** argv)
-{
-    BenchOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const char* arg = argv[i];
-        if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-            std::cout << "usage: " << argv[0]
-                      << " [--jobs N] [--job-timeout S] [--retries N]"
-                         " [--keep-going]\n"
-                      << "  --jobs N, -j N  sweep worker threads "
-                         "(default: APRES_BENCH_JOBS or hardware "
-                         "concurrency)\n"
-                      << "  --job-timeout S per-job wall-clock deadline in "
-                         "seconds (default: none)\n"
-                      << "  --retries N     re-run a failed job up to N "
-                         "times (same seed; default 0)\n"
-                      << "  --keep-going    run every job despite "
-                         "failures; exit non-zero with a summary\n"
-                      << "  APRES_BENCH_SCALE  trip-count multiplier "
-                         "(default 1.0)\n";
-            std::exit(0);
-        }
-        if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
-            if (i + 1 >= argc)
-                fatal(std::string(arg) + " requires a value");
-            opts.jobs = static_cast<int>(
-                parsePositiveUintOption(arg, argv[++i]));
-            continue;
-        }
-        if (std::strcmp(arg, "--job-timeout") == 0) {
-            if (i + 1 >= argc)
-                fatal(std::string(arg) + " requires a value");
-            opts.jobTimeoutSeconds =
-                parsePositiveDoubleOption(arg, argv[++i]);
-            continue;
-        }
-        if (std::strcmp(arg, "--retries") == 0) {
-            if (i + 1 >= argc)
-                fatal(std::string(arg) + " requires a value");
-            opts.retries = static_cast<int>(
-                parsePositiveUintOption(arg, argv[++i]));
-            continue;
-        }
-        if (std::strcmp(arg, "--keep-going") == 0) {
-            opts.keepGoing = true;
-            continue;
-        }
-        fatal(std::string("unknown argument \"") + arg +
-              "\" (try --help)");
-    }
-    return opts;
-}
-
 GpuConfig
 baselineConfig()
 {
     return GpuConfig{}; // defaults are Table III
-}
-
-NamedConfig
-makeConfig(const std::string& sched, const std::string& pf)
-{
-    NamedConfig named;
-    named.config.scheduler = sched;
-    named.config.prefetcher = pf;
-    named.label = named.config.label();
-    return named;
-}
-
-GpuConfig
-configWith(const std::vector<std::pair<std::string, std::string>>& overrides)
-{
-    GpuConfig cfg = baselineConfig();
-    applyOverrides(cfg, overrides);
-    return cfg;
 }
 
 double
@@ -156,94 +82,6 @@ kernelOf(std::shared_ptr<const Workload> wl)
     // kernel.
     const Kernel* kernel = &wl->kernel;
     return {std::move(wl), kernel};
-}
-
-std::shared_ptr<const Kernel>
-loadKernel(const std::string& name, double scale)
-{
-    return kernelOf(loadWorkload(name, scale));
-}
-
-namespace {
-
-RunnerOptions
-runnerOptions(const BenchOptions& options)
-{
-    RunnerOptions ropts;
-    ropts.threads = options.jobs;
-    ropts.progress = true;
-    ropts.jobTimeoutSeconds = options.jobTimeoutSeconds;
-    ropts.retries = options.retries;
-    ropts.keepGoing = options.keepGoing;
-    return ropts;
-}
-
-} // namespace
-
-BenchSweep::BenchSweep(const BenchOptions& options)
-    : runner(runnerOptions(options))
-{
-}
-
-std::size_t
-BenchSweep::add(std::string label, const GpuConfig& config,
-                std::shared_ptr<const Kernel> kernel)
-{
-    return runner.submit(std::move(label), config, std::move(kernel));
-}
-
-std::size_t
-BenchSweep::add(std::string label, const GpuConfig& config,
-                std::shared_ptr<const Kernel> kernel,
-                std::function<void(const Gpu&, RunResult&)> inspect)
-{
-    SweepJob job;
-    job.label = std::move(label);
-    job.config = config;
-    job.kernel = std::move(kernel);
-    job.inspect = std::move(inspect);
-    return runner.submit(std::move(job));
-}
-
-void
-BenchSweep::run()
-{
-    // Without --keep-going a failure propagates out of runAll();
-    // surface it as a clean error instead of std::terminate.
-    try {
-        results = runner.runAll();
-    } catch (const std::exception& e) {
-        std::cerr << "[apres-sweep] sweep aborted: " << e.what() << '\n';
-        std::exit(1);
-    }
-    ran = true;
-    const std::string failures = failureSummary(results);
-    if (!failures.empty()) {
-        // --keep-going path: the sweep drained, but some rows are
-        // error rows a table/geomean must not silently average in.
-        std::cerr << "[apres-sweep] " << failures;
-        std::exit(1);
-    }
-}
-
-const RunResult&
-BenchSweep::result(std::size_t index) const
-{
-    return record(index).result;
-}
-
-const SweepResult&
-BenchSweep::record(std::size_t index) const
-{
-    if (!ran)
-        fatal("BenchSweep::result called before run()");
-    return results.at(index);
-}
-
-RunResult
-runBench(const GpuConfig& config, const Kernel& kernel)
-{
-    return simulate(config, kernel);
 }
 
 } // namespace apres::bench

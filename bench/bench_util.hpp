@@ -1,9 +1,8 @@
 /**
  * @file
- * Shared helpers for the paper-reproduction benches: config builders
- * for the evaluated scheduler/prefetcher combinations, geometric-mean
- * aggregation, fixed-width table printing, and the BenchSweep front
- * end to the parallel sweep runner every driver submits through.
+ * Shared helpers for the benches: the bench scale, the baseline
+ * config, workload handles, geometric-mean aggregation and fixed-width
+ * table printing.
  */
 
 #ifndef APRES_BENCH_BENCH_UTIL_HPP
@@ -14,11 +13,9 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/gpu.hpp"
-#include "sim/runner.hpp"
 #include "workloads/workload.hpp"
 
 namespace apres::bench {
@@ -33,51 +30,8 @@ double benchScale();
 /** Strict APRES_BENCH_SCALE parse; @return the fallback on bad input. */
 double parseBenchScale(const char* text, double fallback = 1.0);
 
-/** Common bench command-line options. */
-struct BenchOptions
-{
-    /** Worker threads (--jobs N / APRES_BENCH_JOBS); 0 = auto. */
-    int jobs = 0;
-
-    /** Per-job wall-clock deadline in seconds (--job-timeout); 0 = off. */
-    double jobTimeoutSeconds = 0.0;
-
-    /** Re-run attempts after a failed job (--retries). */
-    int retries = 0;
-
-    /** Finish the sweep despite failures (--keep-going). */
-    bool keepGoing = false;
-};
-
-/**
- * Parse bench argv: `--jobs N` (or `-j N`) sets the sweep thread
- * count; `--job-timeout S`, `--retries N` and `--keep-going` configure
- * fault isolation (see RunnerOptions); `--help` prints usage and
- * exits. Unknown arguments terminate via fatal() so typos never
- * silently run a full sweep.
- */
-BenchOptions parseBenchArgs(int argc, char** argv);
-
-/** A config under evaluation, with its display label. */
-struct NamedConfig
-{
-    std::string label;
-    GpuConfig config;
-};
-
-/** Build a config for one scheduler/prefetcher pair (registry names). */
-NamedConfig makeConfig(const std::string& sched, const std::string& pf);
-
 /** The paper's baseline (LRR, no prefetching, Table III sizes). */
 GpuConfig baselineConfig();
-
-/**
- * The baseline with dotted-key overrides applied through the
- * ConfigRegistry, e.g. configWith({{"l1.sizeBytes", "65536"}}).
- * Fatal on unknown keys or invalid values.
- */
-GpuConfig configWith(
-    const std::vector<std::pair<std::string, std::string>>& overrides);
 
 /** Geometric mean; empty input yields 1. */
 double geomean(const std::vector<double>& values);
@@ -94,61 +48,8 @@ void printRow(const std::string& first, const std::vector<double>& values,
 std::shared_ptr<const Workload> loadWorkload(const std::string& name,
                                              double scale);
 
-/**
- * Build workload @p name at bench scale and return its kernel as a
- * shared handle the sweep jobs can co-own (the workload stays alive
- * as long as any job references the kernel).
- */
-std::shared_ptr<const Kernel> loadKernel(const std::string& name,
-                                         double scale);
-
 /** Aliasing kernel handle into an already-loaded workload. */
 std::shared_ptr<const Kernel> kernelOf(std::shared_ptr<const Workload> wl);
-
-/**
- * Sweep front end used by the bench drivers: collect jobs up front,
- * run them all in parallel (results in submission order), then read
- * results back by the index add() returned.
- */
-class BenchSweep
-{
-  public:
-    explicit BenchSweep(const BenchOptions& options = {});
-
-    /** Enqueue a job. @return its result index. */
-    std::size_t add(std::string label, const GpuConfig& config,
-                    std::shared_ptr<const Kernel> kernel);
-
-    /** Enqueue a job with a post-run inspect hook (worker thread). */
-    std::size_t add(std::string label, const GpuConfig& config,
-                    std::shared_ptr<const Kernel> kernel,
-                    std::function<void(const Gpu&, RunResult&)> inspect);
-
-    /**
-     * Run everything; prints a progress line to stderr. On a job
-     * failure the process exits non-zero with a failure summary —
-     * after the whole sweep drained when --keep-going was given,
-     * immediately (remaining jobs skipped) otherwise.
-     */
-    void run();
-
-    /** Result of job @p index (valid after run()). */
-    const RunResult& result(std::size_t index) const;
-
-    /** Full per-job record (seed, wall time) of job @p index. */
-    const SweepResult& record(std::size_t index) const;
-
-    /** Number of submitted jobs. */
-    std::size_t size() const { return runner.size(); }
-
-  private:
-    SweepRunner runner;
-    std::vector<SweepResult> results;
-    bool ran = false;
-};
-
-/** Run @p kernel under @p config at the bench scale (single run). */
-RunResult runBench(const GpuConfig& config, const Kernel& kernel);
 
 } // namespace apres::bench
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """ctest smoke tests for the repo's gate scripts.
 
-Two modes, registered as separate ctest entries so failures localize:
+Three modes, registered as separate ctest entries so failures localize:
 
   regen       scripts/regen_golden_traces.py must be idempotent: a run
               redirected into a scratch directory (--golden-dir) exits
@@ -18,12 +18,18 @@ Two modes, registered as separate ctest entries so failures localize:
               A gate that silently passes regressions is worse than no
               gate.
 
-usage: script_gates_test.py REPO_ROOT BUILD_DIR {regen|throughput}
+  paper       scripts/check_paper.py must accept a synthetic
+              bench_paper output on which every paper claim holds,
+              and reject it with each claim flipped in turn, naming
+              the flipped claim as failed.
+
+usage: script_gates_test.py REPO_ROOT BUILD_DIR {regen|throughput|paper}
 """
 
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -133,13 +139,87 @@ def run_throughput(repo_root: str) -> int:
     return rc
 
 
+def paper_output(flips):
+    """A bench_paper output in its own layout, with every paper claim
+    holding except where @p flips overrides a cell: (table, row,
+    column) -> value, or "total" -> Table II's total."""
+
+    def tab(key, title, columns, rows):
+        lines = [f"=== {title} ===", "",
+                 f"{'app':<8}" + "".join(f"{c:>12}" for c in columns)]
+        for label, row in rows:
+            lines.append(f"{label:<8}" + "".join(
+                f"{flips.get((key, label, c), v):>12.3f}"
+                for c, v in zip(columns, row)))
+        return "\n".join(lines) + "\n"
+
+    fig10 = ["CCWS", "LAWS", "CCWS+STR", "LAWS+STR", "APRES"]
+    fig03 = ["PA+STR", "PA+SLD", "GTO+STR", "GTO+SLD", "MASCAR+STR",
+             "MASCAR+SLD", "CCWS+STR", "CCWS+SLD"]
+    return "\n".join([
+        tab("fig10", "Figure 10: IPC normalized to baseline (LRR)", fig10,
+            [("KM", [1.633, 1.001, 1.658, 0.990, 0.977]),
+             ("GM-all", [1.023, 1.013, 1.065, 1.041, 1.100]),
+             ("GM-mem", [1.047, 1.030, 1.104, 1.066, 1.148])]),
+        tab("fig03", "Figure 3: existing scheduling x prefetching combos",
+            fig03, [("GM", [1.031, 1.024, 1.039, 1.027, 0.995, 0.996,
+                            1.065, 1.036])]),
+        tab("fig12", "Figure 12: early eviction ratio",
+            ["CCWS+STR", "APRES"], [("AVG", [0.127, 0.047])]),
+        "=== Table II: hardware cost of APRES ===\n\n"
+        f"Total         = {flips.get('total', 724)} B  (paper: 724 B)\n",
+    ])
+
+
+def run_paper(repo_root: str) -> int:
+    script = os.path.join(repo_root, "scripts", "check_paper.py")
+
+    def check(label, flips, failed_claim):
+        with tempfile.TemporaryDirectory(prefix="apres_paper_") as d:
+            path = os.path.join(d, "bench_output.txt")
+            with open(path, "w") as f:
+                f.write(paper_output(flips))
+            result = subprocess.run([sys.executable, script, path],
+                                    capture_output=True, text=True)
+        failed = set(re.findall(r"^FAIL\s+(\S+)", result.stdout, re.M))
+        want = {failed_claim} if failed_claim else set()
+        if (result.returncode != 0) != bool(failed_claim) or \
+                not want <= failed:
+            print(f"FAIL: {label}: exit {result.returncode}, failed "
+                  f"claims {sorted(failed)}\n{result.stdout}"
+                  f"{result.stderr}")
+            return 1
+        print(f"ok: {label}: exit {result.returncode}, failed "
+              f"{sorted(failed)}")
+        return 0
+
+    rc = check("healthy output passes", {}, None)
+    for claim, flips in [
+        ("fig10-gm-all", {("fig10", "GM-all", "CCWS+STR"): 1.2}),
+        ("fig10-gm-mem", {("fig10", "GM-mem", "LAWS+STR"): 1.2}),
+        ("fig10-km", {("fig10", "KM", "APRES"): 1.64}),
+        ("fig10-km", {("fig10", "KM", "CCWS"): 0.9}),
+        ("fig03-best", {("fig03", "GM", "MASCAR+STR"): 1.1}),
+        ("fig03-pa", {("fig03", "GM", "PA+SLD"): 1.032}),
+        ("fig03-gto", {("fig03", "GM", "GTO+SLD"): 1.04}),
+        ("fig03-ccws", {("fig03", "GM", "CCWS+SLD"): 1.07}),
+        ("fig12-avg", {("fig12", "AVG", "APRES"): 0.2}),
+        ("table02-total", {"total": 725}),
+    ]:
+        rc |= check(f"flipped {claim} trips the gate", flips, claim)
+    return rc
+
+
 def main() -> int:
-    if len(sys.argv) != 4 or sys.argv[3] not in ("regen", "throughput"):
+    modes = ("regen", "throughput", "paper")
+    if len(sys.argv) != 4 or sys.argv[3] not in modes:
         print(__doc__, file=sys.stderr)
         return 2
     repo_root, build_dir, mode = sys.argv[1:4]
     if mode == "regen":
         return run_regen(repo_root, build_dir)
+    if mode == "paper":
+        return run_paper(repo_root)
     return run_throughput(repo_root)
 
 
