@@ -7,8 +7,8 @@
  *
  * The selected rows expand into (app, semantic config) cells. A cell
  * several figures share, such as an app's LRR baseline, is simulated
- * once, and every cell runs in one SweepRunner batch under its
- * config's own seed, so a result never depends on which figures were
+ * once, and every cell runs in one SweepRunner batch exactly as
+ * configured, so a result never depends on which figures were
  * selected or on the cell's position in the batch.
  *
  * usage: bench_paper [options] [ID...]   (no ID: every row, paper order)
@@ -635,7 +635,7 @@ usage(const char* argv0, const std::vector<Figure>& figures)
               << "  --job-timeout S per-job wall-clock deadline in "
                  "seconds (default: none)\n"
               << "  --retries N     re-run a failed job up to N "
-                 "times (same seed; default 0)\n"
+                 "times (same config; default 0)\n"
               << "  --keep-going    run every job despite "
                  "failures; exit non-zero with a summary\n"
               << "  ID              print only these (default: all):";
@@ -655,7 +655,6 @@ parseArgs(int argc, char** argv, const std::vector<Figure>& figures)
 {
     BenchOptions opts;
     opts.runner.progress = true;
-    opts.runner.seedMode = SeedMode::kUseConfigSeed;
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
         const auto value = [&] {

@@ -44,6 +44,7 @@
 
 #include "bench_util.hpp"
 #include "common/json.hpp"
+#include "common/parse.hpp"
 #include "common/profile.hpp"
 #include "isa/address_gen.hpp"
 #include "isa/kernel.hpp"
@@ -423,11 +424,10 @@ run(int argc, char** argv)
         } else if (arg == "--profile" && i + 1 < argc) {
             profile_path = argv[++i];
         } else if (arg == "--shards" && i + 1 < argc) {
-            shards = std::atoi(argv[++i]);
-            if (shards < 0) {
-                std::cerr << "--shards must be >= 0\n";
-                return 1;
-            }
+            // Strict: a typo exits non-zero instead of running the
+            // sweep. Gpu clamps the count to the scenario's SMs.
+            shards = static_cast<int>(std::min<std::uint64_t>(
+                parseUintOption(arg, argv[++i]), 1u << 16));
         } else if (arg == "--help") {
             std::cout << "usage: bench_throughput [--scale F] [--out FILE]"
                          " [--shards N] [--profile FILE]\n"

@@ -10,16 +10,23 @@ Validates the two report documents the tool emits:
                         coverage bins (cold corpus must discover
                         behavior, or the coverage map is broken).
 
-  compare REPORT.json   schema apres-compare-report-v1 — every pair
-                        must carry n >= 2 paired-seed samples and a
-                        bootstrap interval with ciLow <= meanSpeedup
-                        <= ciHigh; speedups must be finite and
-                        positive (an IPC ratio of zero means a
-                        simulation silently produced nothing).
+  compare REPORT.json   schema apres-compare-report-v2 — every ordered
+                        policy pair on every kernel exactly once, each
+                        (kernel, policy) cell accounted for once as a
+                        simulation or a cache hit, finite positive
+                        IPCs, and speedup == ipcCandidate / ipcBaseline
+                        within 1e-12 relative.
+
+  compare COLD.json --warm WARM.json
+                        additionally checks the result-cache contract:
+                        WARM is the same comparison rerun on COLD's
+                        --cache-dir, so it must simulate nothing, hit
+                        the cache for every cell, and report pairs
+                        identical to COLD's.
 
 usage:
     check_explore.py explore REPORT.json [--min-new-bins 1]
-    check_explore.py compare REPORT.json [--min-seeds 2]
+    check_explore.py compare REPORT.json [--warm WARM.json]
 
 Exit 0 when the report is well-formed and the assertions hold, 1
 otherwise.
@@ -29,6 +36,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 
 
 def fail(msg):
@@ -101,62 +109,82 @@ def check_explore(doc, min_new_bins):
     )
 
 
-def check_compare(doc, min_seeds):
-    if require(doc, "schema", str, "report") != "apres-compare-report-v1":
+def positive_number(doc, key, where):
+    value = require(doc, key, (int, float), where)
+    if isinstance(value, bool) or not math.isfinite(value) or value <= 0:
+        raise ValueError(f"{where}: {key}={value!r} not finite > 0")
+    return value
+
+
+def check_compare(doc):
+    if require(doc, "schema", str, "report") != "apres-compare-report-v2":
         raise ValueError(f"unexpected schema {doc['schema']!r}")
-    require(doc, "seed", int, "report")
-    num_seeds = require(doc, "numSeeds", int, "report")
-    require(doc, "resamples", int, "report")
-    confidence = require(doc, "confidence", (int, float), "report")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence {confidence} outside (0, 1)")
-    policies = require(doc, "policies", list, "report")
+    policies = [require(p, "label", str, "policies[]")
+                for p in require(doc, "policies", list, "report")]
     if len(policies) < 2:
         raise ValueError("need >= 2 policies for a comparison")
-    kernels = require(doc, "kernels", list, "report")
+    kernels = [require(k, "label", str, "kernels[]")
+               for k in require(doc, "kernels", list, "report")]
     if not kernels:
         raise ValueError("no kernels in report")
     pairs = require(doc, "pairs", list, "report")
-    expected = len(kernels) * len(policies) * (len(policies) - 1) // 2
-    if len(pairs) != expected:
-        raise ValueError(
-            f"{len(pairs)} pairs reported, expected {expected} "
-            f"({len(kernels)} kernels x C({len(policies)},2) policies)"
-        )
+    expected = Counter(
+        (k, policies[a], policies[b])
+        for k in kernels
+        for a in range(len(policies))
+        for b in range(a + 1, len(policies))
+    )
+    seen = Counter()
     for i, pair in enumerate(pairs):
         where = f"pairs[{i}]"
-        require(pair, "kernel", str, where)
-        require(pair, "baseline", str, where)
-        require(pair, "candidate", str, where)
-        n = require(pair, "n", int, where)
-        if n < min_seeds or n != num_seeds:
+        seen[(require(pair, "kernel", str, where),
+              require(pair, "baseline", str, where),
+              require(pair, "candidate", str, where))] += 1
+        base = positive_number(pair, "ipcBaseline", where)
+        cand = positive_number(pair, "ipcCandidate", where)
+        speedup = positive_number(pair, "speedup", where)
+        if abs(speedup - cand / base) > 1e-12 * (cand / base):
             raise ValueError(
-                f"{where}: n={n}, want numSeeds={num_seeds} >= {min_seeds}"
+                f"{where}: speedup {speedup!r} != ipcCandidate / "
+                f"ipcBaseline = {cand / base!r}"
             )
-        mean = require(pair, "meanSpeedup", (int, float), where)
-        lo = require(pair, "ciLow", (int, float), where)
-        hi = require(pair, "ciHigh", (int, float), where)
-        for label, v in (("meanSpeedup", mean), ("ciLow", lo),
-                         ("ciHigh", hi)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v)
-                    and v > 0):
-                raise ValueError(f"{where}: {label}={v!r} not finite > 0")
-        if not lo <= mean <= hi:
-            raise ValueError(
-                f"{where}: interval [{lo}, {hi}] does not bracket "
-                f"mean {mean}"
-            )
-        samples = require(pair, "speedups", list, where)
-        if len(samples) != n:
-            raise ValueError(
-                f"{where}: {len(samples)} speedup samples, n={n}"
-            )
+    if seen != expected:
+        missing = sorted((expected - seen).elements())
+        extra = sorted((seen - expected).elements())
+        raise ValueError(
+            f"pairs do not cover every (kernel, baseline, candidate) "
+            f"exactly once: missing {missing}, unexpected {extra}"
+        )
     sims = require(doc, "simulations", int, "report")
     hits = require(doc, "cacheHits", int, "report")
+    cells = len(kernels) * len(policies)
+    if sims + hits != cells:
+        raise ValueError(
+            f"{sims} simulations + {hits} cache hits != {cells} cells "
+            f"({len(kernels)} kernels x {len(policies)} policies)"
+        )
     print(
-        f"ok: compare report valid — {len(pairs)} pairs over "
-        f"{num_seeds} seeds each ({sims} simulations, {hits} cache hits)"
+        f"ok: compare report valid — {len(pairs)} pairs over {cells} "
+        f"cells ({sims} simulations, {hits} cache hits)"
     )
+
+
+def check_warm(cold, warm):
+    check_compare(warm)
+    cells = cold["simulations"] + cold["cacheHits"]
+    if warm["simulations"] != 0 or warm["cacheHits"] != cells:
+        raise ValueError(
+            f"warm rerun ran {warm['simulations']} simulations with "
+            f"{warm['cacheHits']} cache hits; want 0 and {cells}"
+        )
+    if warm["pairs"] != cold["pairs"]:
+        raise ValueError("warm rerun reports pairs that differ from cold")
+    print(f"ok: warm rerun served all {cells} cells from the cache")
+
+
+def load(path):
+    with open(path) as f:
+        return json.load(f)
 
 
 def main() -> int:
@@ -164,20 +192,22 @@ def main() -> int:
     parser.add_argument("mode", choices=("explore", "compare"))
     parser.add_argument("report", help="report JSON from apres_explore")
     parser.add_argument("--min-new-bins", type=int, default=1)
-    parser.add_argument("--min-seeds", type=int, default=2)
+    parser.add_argument("--warm", help="compare: warm rerun report JSON")
     args = parser.parse_args()
 
     try:
-        with open(args.report) as f:
-            doc = json.load(f)
+        doc = load(args.report)
+        warm = load(args.warm) if args.warm else None
     except (OSError, json.JSONDecodeError) as e:
-        return fail(f"cannot read {args.report}: {e}")
+        return fail(f"cannot read report: {e}")
 
     try:
         if args.mode == "explore":
             check_explore(doc, args.min_new_bins)
         else:
-            check_compare(doc, args.min_seeds)
+            check_compare(doc)
+            if warm is not None:
+                check_warm(doc, warm)
     except ValueError as e:
         return fail(str(e))
     return 0

@@ -43,6 +43,38 @@ parseUint64Strict(const std::string& text, std::uint64_t* out)
 }
 
 bool
+parseUint64DecOrHex(const std::string& text, std::uint64_t* out)
+{
+    const bool hex =
+        text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X');
+    const char* first = text.data() + (hex ? 2 : 0);
+    const char* last = text.data() + text.size();
+    std::uint64_t parsed = 0;
+    // from_chars takes no sign, prefix or whitespace: the whole token
+    // must be digits of the chosen base.
+    const auto [ptr, ec] = std::from_chars(first, last, parsed, hex ? 16 : 10);
+    if (ec != std::errc{} || ptr != last)
+        return false;
+    *out = parsed;
+    return true;
+}
+
+bool
+parseInt64DecOrHex(const std::string& text, std::int64_t* out)
+{
+    const bool negative = !text.empty() && text[0] == '-';
+    std::uint64_t magnitude = 0;
+    if (!parseUint64DecOrHex(text.substr(negative ? 1 : 0), &magnitude))
+        return false;
+    const std::uint64_t limit = std::uint64_t{1} << 63; // |INT64_MIN|
+    if (magnitude > (negative ? limit : limit - 1))
+        return false;
+    *out = negative ? static_cast<std::int64_t>(0 - magnitude)
+                    : static_cast<std::int64_t>(magnitude);
+    return true;
+}
+
+bool
 parseDoubleStrict(const std::string& text, double* out)
 {
     if (text.empty())

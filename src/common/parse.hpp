@@ -1,8 +1,8 @@
 /**
  * @file
  * Strict text-to-value parsing shared by every user-facing input
- * path: the config registry, the apres_sim flag handling and the
- * bench drivers' environment knobs.
+ * path: the config registry, the kernel text format, the apres_sim
+ * flag handling and the bench drivers' options and environment knobs.
  *
  * The *Strict parsers consume the whole string or fail: trailing
  * garbage, empty input, overflow and non-finite doubles are all
@@ -24,6 +24,16 @@ bool parseInt64Strict(const std::string& text, std::int64_t* out);
 
 /** Parse a decimal unsigned integer; rejects a leading '-'. */
 bool parseUint64Strict(const std::string& text, std::uint64_t* out);
+
+/**
+ * Parse a whole decimal or 0x-prefixed hexadecimal unsigned integer
+ * (the kernel-text number forms): no sign, no octal reading of a
+ * leading zero, no surrounding text; false on garbage or overflow.
+ */
+bool parseUint64DecOrHex(const std::string& text, std::uint64_t* out);
+
+/** parseUint64DecOrHex plus an optional leading '-', range-checked. */
+bool parseInt64DecOrHex(const std::string& text, std::int64_t* out);
 
 /** Parse a finite double (decimal or scientific notation). */
 bool parseDoubleStrict(const std::string& text, double* out);

@@ -1,11 +1,16 @@
 /**
  * @file
- * Deterministic pseudo-random number generation for workload synthesis.
+ * Deterministic pseudo-random number generation for the exploration
+ * campaign (kernel-signature generation and mutation), the
+ * microbenchmarks and the tests.
  *
- * apres-sim never uses std::random_device or wall-clock seeding: every
- * simulation is a pure function of its configuration, which the test
- * suite relies on. Xorshift128+ is used because it is fast, has a long
- * period, and its output is reproducible across platforms.
+ * The simulator itself draws no random numbers: a simulation is a pure
+ * function of its configuration and kernel, the irregular/zipf address
+ * generators hash their own `seed=` attribute statelessly, and
+ * GpuConfig::seed reaches no model component. Nothing here uses
+ * std::random_device or wall-clock seeding. Xorshift128+ is used
+ * because it is fast, has a long period, and its output is
+ * reproducible across platforms.
  */
 
 #ifndef APRES_COMMON_RNG_HPP

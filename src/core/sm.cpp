@@ -427,7 +427,12 @@ Sm::onLoadComplete(WarpId warp_id, int dst_reg, Cycle now)
     warp.regReadyAt[static_cast<std::size_t>(dst_reg)] = now;
     assert(warp.outstandingLoads > 0);
     --warp.outstandingLoads;
-    readyMemo_[static_cast<std::size_t>(warp_id)].valid = false;
+    WarpReadyMemo& memo = readyMemo_[static_cast<std::size_t>(warp_id)];
+    memo.valid = false;
+    // A finished or barrier-parked warp stays out of the scan: a load
+    // it never consumed may complete after kExit or while it waits.
+    if (memo.inactive)
+        return;
     setScanBit(warp_id); // the load wait (if any) just resolved
     readyClean_ = false; // the warp may be issueable again
 }

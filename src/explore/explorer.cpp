@@ -74,8 +74,7 @@ Explorer::probeSignature(const KernelSignature& sig,
 
     std::vector<std::string> bins;
     JobExecutor executor;
-    for (std::size_t pi = 0; pi < probes_.size(); ++pi) {
-        const ProbeConfig& probe = probes_[pi];
+    for (const ProbeConfig& probe : probes_) {
         GpuConfig cfg;
         ConfigRegistry reg(cfg);
         // A probe machine is small on purpose: candidate kernels are
@@ -92,10 +91,6 @@ Explorer::probeSignature(const KernelSignature& sig,
             reg.set(key, value);
         for (const auto& [key, value] : probe.overrides)
             reg.set(key, value);
-        // Fixed per-probe seed: a kernel's coverage is a function of
-        // (kernel, probe) alone, never of campaign state, so corpus
-        // regression tests can re-derive it exactly.
-        cfg.seed = mix64(0xC0FFEE, pi, 0xBEEF) | 1;
 
         SweepJob job;
         job.label = probe.label + ":" + name;
@@ -111,7 +106,7 @@ Explorer::probeSignature(const KernelSignature& sig,
                                  static_cast<double>(count));
             }
         };
-        const JobOutcome outcome = executor.execute(job, cfg.seed);
+        const JobOutcome outcome = executor.execute(job);
         const auto probe_bins = coverageBins(probe.label, outcome.result);
         bins.insert(bins.end(), probe_bins.begin(), probe_bins.end());
     }

@@ -19,9 +19,10 @@
  * corpus directory contents), a campaign reproduces the same corpus,
  * the same coverage map and a bitwise-identical report. All
  * randomness flows from one apres::Rng stream, candidates run
- * serially in round order, probe configs embed fixed seeds (a
- * kernel's coverage is a function of the kernel and probe alone), and
- * the report contains no wall-clock times.
+ * serially in round order, a simulation is a pure function of its
+ * config and kernel (so a kernel's coverage is a function of the
+ * kernel and probe alone), and the report contains no wall-clock
+ * times.
  */
 
 #ifndef APRES_EXPLORE_EXPLORER_HPP

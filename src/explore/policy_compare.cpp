@@ -1,20 +1,17 @@
 /**
  * @file
- * The paired-seed comparison harness and its bootstrap machinery.
+ * The one-run-per-cell comparison harness.
  */
 
 #include "policy_compare.hpp"
 
-#include <algorithm>
 #include <memory>
-#include <sstream>
 
 #include "common/csv.hpp"
 #include "common/json.hpp"
 #include "common/json_value.hpp"
 #include "common/parse.hpp"
 #include "common/sim_error.hpp"
-#include "isa/address_gen.hpp"
 #include "isa/kernel_text.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_cache.hpp"
@@ -25,56 +22,14 @@
 namespace apres {
 namespace {
 
-/** Per-cell seed: paired across policies (no policy term on purpose). */
-std::uint64_t
-cellSeed(std::uint64_t base, std::size_t kernel_index,
-         std::size_t seed_index)
-{
-    return mix64(base, kernel_index, seed_index) | 1;
-}
-
 struct CellRef
 {
     std::size_t kernel = 0;
     std::size_t policy = 0;
-    std::size_t seedIndex = 0;
     std::string cacheKey; ///< empty when caching is off
 };
 
 } // namespace
-
-std::pair<double, double>
-bootstrapMeanCi(const std::vector<double>& samples, int resamples,
-                double confidence, Rng& rng)
-{
-    if (samples.empty())
-        throwConfigError("bootstrap: no samples");
-    if (resamples < 1)
-        throwConfigError("bootstrap: resamples must be >= 1");
-    if (confidence <= 0.0 || confidence >= 1.0)
-        throwConfigError("bootstrap: confidence must be in (0, 1)");
-
-    const std::size_t n = samples.size();
-    std::vector<double> means;
-    means.reserve(static_cast<std::size_t>(resamples));
-    for (int r = 0; r < resamples; ++r) {
-        double sum = 0.0;
-        for (std::size_t i = 0; i < n; ++i)
-            sum += samples[rng.nextBounded(n)];
-        means.push_back(sum / static_cast<double>(n));
-    }
-    std::sort(means.begin(), means.end());
-
-    // Nearest-rank quantiles of the resampled means; clamping keeps
-    // tiny resample counts from indexing past either end.
-    const double tail = (1.0 - confidence) / 2.0;
-    const auto rank = [&](double q) {
-        const auto idx = static_cast<std::size_t>(
-            q * static_cast<double>(means.size() - 1) + 0.5);
-        return means[std::min(idx, means.size() - 1)];
-    };
-    return {rank(tail), rank(1.0 - tail)};
-}
 
 CompareReport
 runComparison(const CompareOptions& options)
@@ -83,8 +38,6 @@ runComparison(const CompareOptions& options)
         throwConfigError("compare: need at least two policies");
     if (options.kernels.empty())
         throwConfigError("compare: need at least one kernel");
-    if (options.numSeeds < 2)
-        throwConfigError("compare: need at least two seeds per cell");
 
     // Build every kernel once; cells share them immutably.
     std::vector<std::shared_ptr<const Kernel>> kernels;
@@ -103,10 +56,6 @@ runComparison(const CompareOptions& options)
     }
 
     CompareReport report;
-    report.seed = options.seed;
-    report.numSeeds = options.numSeeds;
-    report.resamples = options.resamples;
-    report.confidence = options.confidence;
     for (const ComparePolicy& p : options.policies)
         report.policies.push_back(p.label());
     for (const CompareKernel& k : options.kernels)
@@ -116,59 +65,49 @@ runComparison(const CompareOptions& options)
     if (!options.cacheDir.empty())
         cache = std::make_unique<ResultCache>(options.cacheDir);
 
-    // ipc[kernel][policy][seedIndex]
-    std::vector<std::vector<std::vector<double>>> ipc(
+    // ipc[kernel][policy]
+    std::vector<std::vector<double>> ipc(
         options.kernels.size(),
-        std::vector<std::vector<double>>(
-            options.policies.size(),
-            std::vector<double>(
-                static_cast<std::size_t>(options.numSeeds), 0.0)));
+        std::vector<double>(options.policies.size(), 0.0));
 
     RunnerOptions runner_opts;
     runner_opts.threads = options.threads;
-    runner_opts.seedMode = SeedMode::kUseConfigSeed;
     SweepRunner runner(runner_opts);
     std::vector<CellRef> submitted;
 
     for (std::size_t ki = 0; ki < options.kernels.size(); ++ki) {
         for (std::size_t pi = 0; pi < options.policies.size(); ++pi) {
-            for (std::size_t si = 0;
-                 si < static_cast<std::size_t>(options.numSeeds); ++si) {
-                GpuConfig cfg;
-                ConfigRegistry reg(cfg);
-                for (const auto& [key, value] : options.overrides)
-                    reg.set(key, value);
-                reg.set("scheduler", options.policies[pi].scheduler);
-                reg.set("prefetcher", options.policies[pi].prefetcher);
-                cfg.seed = cellSeed(options.seed, ki, si);
+            GpuConfig cfg;
+            ConfigRegistry reg(cfg);
+            for (const auto& [key, value] : options.overrides)
+                reg.set(key, value);
+            reg.set("scheduler", options.policies[pi].scheduler);
+            reg.set("prefetcher", options.policies[pi].prefetcher);
 
-                std::string key;
-                if (cache) {
-                    ServeJobSpec spec;
-                    spec.workload = options.kernels[ki].workload;
-                    spec.scale = options.kernels[ki].scale;
-                    spec.kernelText = options.kernels[ki].kernelText;
-                    key = computeCacheKey(serveFingerprint(),
-                                          kernelFingerprint(spec),
-                                          reg.semanticSnapshot());
-                    if (const auto payload = cache->lookup(key)) {
-                        const JsonValue doc = JsonValue::parse(*payload);
-                        ipc[ki][pi][si] =
-                            doc.at("stats").at("sim.ipc").asDouble();
-                        ++report.cacheHits;
-                        continue;
-                    }
+            std::string key;
+            if (cache) {
+                ServeJobSpec spec;
+                spec.workload = options.kernels[ki].workload;
+                spec.scale = options.kernels[ki].scale;
+                spec.kernelText = options.kernels[ki].kernelText;
+                key = computeCacheKey(serveFingerprint(),
+                                      kernelFingerprint(spec),
+                                      reg.semanticSnapshot());
+                if (const auto payload = cache->lookup(key)) {
+                    const JsonValue doc = JsonValue::parse(*payload);
+                    ipc[ki][pi] = doc.at("stats").at("sim.ipc").asDouble();
+                    ++report.cacheHits;
+                    continue;
                 }
-
-                SweepJob job;
-                job.label = options.kernels[ki].label + "/" +
-                            options.policies[pi].label() + "/s" +
-                            std::to_string(si);
-                job.config = cfg;
-                job.kernel = kernels[ki];
-                runner.submit(std::move(job));
-                submitted.push_back({ki, pi, si, key});
             }
+
+            SweepJob job;
+            job.label = options.kernels[ki].label + "/" +
+                        options.policies[pi].label();
+            job.config = cfg;
+            job.kernel = kernels[ki];
+            runner.submit(std::move(job));
+            submitted.push_back({ki, pi, key});
         }
     }
 
@@ -177,67 +116,35 @@ runComparison(const CompareOptions& options)
         for (std::size_t i = 0; i < results.size(); ++i) {
             const RunResult& r = results[i].result;
             if (r.status != "ok") {
-                // Averaging over error rows would silently bias the
-                // statistics; fail the whole comparison instead.
+                // A comparison with a missing cell would silently
+                // report a partial table; fail the whole run instead.
                 throwConfigError("compare: job '" + results[i].label +
                                  "' failed (" + r.errorKind + ": " +
                                  r.errorDetail + ")");
             }
             const CellRef& ref = submitted[i];
-            ipc[ref.kernel][ref.policy][ref.seedIndex] = r.ipc;
+            ipc[ref.kernel][ref.policy] = r.ipc;
             ++report.simulations;
             if (cache && !ref.cacheKey.empty())
                 cache->store(ref.cacheKey, serializeRunResult(r));
         }
     }
 
-    std::size_t pair_index = 0;
     for (std::size_t ki = 0; ki < options.kernels.size(); ++ki) {
         for (std::size_t a = 0; a < options.policies.size(); ++a) {
-            for (std::size_t b = a + 1; b < options.policies.size();
-                 ++b, ++pair_index) {
+            for (std::size_t b = a + 1; b < options.policies.size(); ++b) {
                 ComparePair pair;
                 pair.kernel = options.kernels[ki].label;
                 pair.baseline = options.policies[a].label();
                 pair.candidate = options.policies[b].label();
-                pair.n = options.numSeeds;
-
-                double sum_a = 0.0;
-                double sum_b = 0.0;
-                int wins = 0;
-                for (std::size_t si = 0;
-                     si < static_cast<std::size_t>(options.numSeeds);
-                     ++si) {
-                    const double ia = ipc[ki][a][si];
-                    const double ib = ipc[ki][b][si];
-                    if (ia <= 0.0) {
-                        throwConfigError(
-                            "compare: baseline " + pair.baseline + " on " +
-                            pair.kernel + " produced zero IPC (seed " +
-                            std::to_string(si) + ")");
-                    }
-                    sum_a += ia;
-                    sum_b += ib;
-                    const double ratio = ib / ia;
-                    pair.speedups.push_back(ratio);
-                    if (ratio > 1.0)
-                        ++wins;
+                pair.ipcBaseline = ipc[ki][a];
+                pair.ipcCandidate = ipc[ki][b];
+                if (pair.ipcBaseline <= 0.0) {
+                    throwConfigError("compare: baseline " + pair.baseline +
+                                     " on " + pair.kernel +
+                                     " produced zero IPC");
                 }
-                const auto n = static_cast<double>(options.numSeeds);
-                pair.meanIpcBaseline = sum_a / n;
-                pair.meanIpcCandidate = sum_b / n;
-                double ratio_sum = 0.0;
-                for (double r : pair.speedups)
-                    ratio_sum += r;
-                pair.meanSpeedup = ratio_sum / n;
-                pair.winFraction = wins / n;
-
-                Rng rng(mix64(options.seed, 0xB007'57A9, pair_index));
-                const auto [lo, hi] =
-                    bootstrapMeanCi(pair.speedups, options.resamples,
-                                    options.confidence, rng);
-                pair.ciLow = lo;
-                pair.ciHigh = hi;
+                pair.speedup = pair.ipcCandidate / pair.ipcBaseline;
                 report.pairs.push_back(std::move(pair));
             }
         }
@@ -251,12 +158,8 @@ CompareReport::writeJson(std::ostream& os) const
     JsonWriter json(os);
     json.beginObject();
     json.field("tool", "apres_explore");
-    json.field("schema", "apres-compare-report-v1");
+    json.field("schema", "apres-compare-report-v2");
     json.field("mode", "compare");
-    json.field("seed", seed);
-    json.field("numSeeds", static_cast<std::uint64_t>(numSeeds));
-    json.field("resamples", static_cast<std::uint64_t>(resamples));
-    json.field("confidence", confidence);
 
     json.beginArray("policies");
     for (const std::string& p : policies) {
@@ -280,20 +183,9 @@ CompareReport::writeJson(std::ostream& os) const
         json.field("kernel", pair.kernel);
         json.field("baseline", pair.baseline);
         json.field("candidate", pair.candidate);
-        json.field("n", static_cast<std::uint64_t>(pair.n));
-        json.field("meanIpcBaseline", pair.meanIpcBaseline);
-        json.field("meanIpcCandidate", pair.meanIpcCandidate);
-        json.field("meanSpeedup", pair.meanSpeedup);
-        json.field("ciLow", pair.ciLow);
-        json.field("ciHigh", pair.ciHigh);
-        json.field("winFraction", pair.winFraction);
-        json.beginArray("speedups");
-        for (double s : pair.speedups) {
-            json.beginObject();
-            json.field("value", s);
-            json.endObject();
-        }
-        json.endArray();
+        json.field("ipcBaseline", pair.ipcBaseline);
+        json.field("ipcCandidate", pair.ipcCandidate);
+        json.field("speedup", pair.speedup);
         json.endObject();
     }
     json.endArray();
@@ -307,17 +199,14 @@ CompareReport::writeJson(std::ostream& os) const
 void
 CompareReport::writeCsv(std::ostream& os) const
 {
-    os << "kernel,baseline,candidate,n,meanIpcBaseline,meanIpcCandidate,"
-          "meanSpeedup,ciLow,ciHigh,winFraction\n";
+    os << "kernel,baseline,candidate,ipcBaseline,ipcCandidate,speedup\n";
     for (const ComparePair& pair : pairs) {
         os << csvEscapeField(pair.kernel) << ','
            << csvEscapeField(pair.baseline) << ','
-           << csvEscapeField(pair.candidate) << ',' << pair.n << ','
-           << formatDouble(pair.meanIpcBaseline) << ','
-           << formatDouble(pair.meanIpcCandidate) << ','
-           << formatDouble(pair.meanSpeedup) << ','
-           << formatDouble(pair.ciLow) << ',' << formatDouble(pair.ciHigh)
-           << ',' << formatDouble(pair.winFraction) << '\n';
+           << csvEscapeField(pair.candidate) << ','
+           << formatDouble(pair.ipcBaseline) << ','
+           << formatDouble(pair.ipcCandidate) << ','
+           << formatDouble(pair.speedup) << '\n';
     }
 }
 

@@ -1,26 +1,18 @@
 /**
  * @file
- * Statistical policy comparison: N-seed paired runs with bootstrap
- * confidence intervals, replacing single-run speedup deltas.
+ * Policy comparison: one run per (kernel, policy) cell, IPC speedups
+ * per ordered policy pair.
  *
- * For every (kernel, policy) cell the harness runs the same kernel
- * under numSeeds distinct seeds (paired across policies: seed index i
- * uses the identical GpuConfig::seed for every policy, so per-seed
- * speedup ratios cancel seed-induced variance). Per ordered policy
- * pair it reports the mean per-seed speedup and a percentile-bootstrap
- * 95% confidence interval over the paired ratios — a pair whose CI
- * straddles 1.0 has not demonstrated a win, however good its mean
- * looks.
+ * The simulator is deterministic — a run is a pure function of its
+ * config and kernel, and GpuConfig::seed changes no statistic — so a
+ * cell has exactly one result and repeating it measures nothing. Per
+ * pair the report gives both IPCs and speedup = candidate / baseline.
  *
- * Runs go through the SweepRunner thread pool in kUseConfigSeed mode
- * (results in submission order, so parallelism never changes the
- * report) and are optionally memoized in the serve result cache:
- * the cell's cache key is the same computeCacheKey() the daemon uses,
- * so a warm re-run of a sweep costs zero simulations.
- *
- * Everything is deterministic: seeds derive from (base seed, kernel
- * index, seed index) via mix64, bootstrap resampling draws from an
- * apres::Rng seeded per cell, and reports carry no wall times.
+ * Runs go through the SweepRunner thread pool (results in submission
+ * order, so parallelism never changes the report) and are optionally
+ * memoized in the serve result cache: the cell's cache key is the
+ * same computeCacheKey() the daemon uses, so a warm re-run of a
+ * comparison costs zero simulations. Reports carry no wall times.
  */
 
 #ifndef APRES_EXPLORE_POLICY_COMPARE_HPP
@@ -31,8 +23,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "common/rng.hpp"
 
 namespace apres {
 
@@ -58,11 +48,6 @@ struct CompareKernel
 /** Harness options. */
 struct CompareOptions
 {
-    std::uint64_t seed = 1;  ///< base seed; pairs cells across policies
-    int numSeeds = 20;       ///< paired seeds per cell (>= 2)
-    int resamples = 1000;    ///< bootstrap resamples per pair
-    double confidence = 0.95;
-
     std::vector<ComparePolicy> policies; ///< >= 2
     std::vector<CompareKernel> kernels;  ///< >= 1
 
@@ -82,51 +67,31 @@ struct ComparePair
     std::string kernel;
     std::string baseline;   ///< policy A label
     std::string candidate;  ///< policy B label
-    int n = 0;              ///< paired seeds
-    double meanIpcBaseline = 0.0;
-    double meanIpcCandidate = 0.0;
-    double meanSpeedup = 0.0; ///< mean of per-seed candidate/baseline
-    double ciLow = 0.0;       ///< bootstrap CI lower bound
-    double ciHigh = 0.0;      ///< bootstrap CI upper bound
-    double winFraction = 0.0; ///< seeds with ratio > 1
-    std::vector<double> speedups; ///< per-seed ratios, seed order
+    double ipcBaseline = 0.0;
+    double ipcCandidate = 0.0;
+    double speedup = 0.0;   ///< ipcCandidate / ipcBaseline
 };
 
 /** The full comparison result. */
 struct CompareReport
 {
-    std::uint64_t seed = 0;
-    int numSeeds = 0;
-    int resamples = 0;
-    double confidence = 0.95;
     std::vector<std::string> policies;
     std::vector<std::string> kernels;
     std::vector<ComparePair> pairs;
     std::uint64_t simulations = 0; ///< cells actually simulated
     std::uint64_t cacheHits = 0;   ///< cells served from the cache
 
-    /** Deterministic JSON document (schema apres-compare-report-v1). */
+    /** Deterministic JSON document (schema apres-compare-report-v2). */
     void writeJson(std::ostream& os) const;
 
-    /** One CSV row per pair (spreadsheet-side consumption). */
+    /** One CSV row per pair, with the JSON pair fields as columns. */
     void writeCsv(std::ostream& os) const;
 };
 
 /**
- * Percentile bootstrap CI of the mean of @p samples: resample with
- * replacement @p resamples times, take the (1-confidence)/2 and
- * 1-(1-confidence)/2 quantiles of the resampled means. Deterministic
- * given @p rng's state. Throws SimError(kConfig) on empty samples or
- * out-of-range parameters.
- */
-std::pair<double, double> bootstrapMeanCi(
-    const std::vector<double>& samples, int resamples, double confidence,
-    Rng& rng);
-
-/**
  * Run the comparison. Throws SimError(kConfig) on malformed options
- * and propagates the first simulation failure (a statistics harness
- * must not average over error rows).
+ * and propagates the first simulation failure (a comparison must not
+ * silently drop error rows).
  */
 CompareReport runComparison(const CompareOptions& options);
 

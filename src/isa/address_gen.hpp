@@ -71,8 +71,9 @@ using AddressGenPtr = std::unique_ptr<AddressGen>;
 
 /**
  * Parse the canonical generator form produced by
- * AddressGen::serialize(). Terminates via fatal() on malformed input
- * (user error).
+ * AddressGen::serialize(). Throws SimError(kKernel) on malformed input:
+ * a non-numeric or out-of-range attribute, a zero footprint, line
+ * count or sharing degree, or a zipf table above ZipfGen::kMaxLines.
  */
 AddressGenPtr parseAddressGen(const std::string& text);
 
@@ -213,6 +214,13 @@ class IrregularGen : public AddressGen
 class ZipfGen : public AddressGen
 {
   public:
+    /**
+     * Largest num_lines parseAddressGen() accepts: the constructor
+     * builds one 8-byte CDF entry per line, so this caps the table at
+     * 8 MiB. The workloads and the corpus use at most 8192 lines.
+     */
+    static constexpr std::size_t kMaxLines = std::size_t{1} << 20;
+
     /**
      * @param base      region start
      * @param num_lines population of distinct 128 B lines

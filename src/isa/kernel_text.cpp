@@ -9,19 +9,42 @@
 
 #include "kernel_text.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
-#include <algorithm>
 #include <sstream>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/sim_error.hpp"
 #include "isa/address_gen.hpp"
 
 namespace apres {
 
 namespace {
+
+/**
+ * Largest window footprint / irregular region the text accepts, in
+ * bytes: line arithmetic (alignment, lines * 128) cannot overflow and
+ * the footprint stays a positive int64 modulus.
+ */
+constexpr std::uint64_t kMaxRegionBytes = std::uint64_t{1} << 62;
+
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
+
+/** Parse a register number (the digits of `rN`) strictly. */
+int
+parseRegNumber(const std::string& digits, const std::string& text,
+               const std::string& context)
+{
+    std::uint64_t n = 0;
+    if (!parseUint64DecOrHex(digits, &n) || n > kIntMax)
+        throwKernelError(context + ": expected register rN, got '" + text +
+                         "'");
+    return static_cast<int>(n);
+}
 
 /** key=value map from the tail of a generator/instruction line. */
 class Params
@@ -42,22 +65,49 @@ class Params
 
     bool has(const std::string& key) const { return values.count(key) != 0; }
 
+    /**
+     * Unsigned attribute, a whole decimal or 0x token in
+     * [@p min_value, @p max_value]; @p fallback when absent.
+     */
     std::uint64_t
-    getU64(const std::string& key, std::uint64_t fallback) const
+    getU64(const std::string& key, std::uint64_t fallback,
+           std::uint64_t min_value = 0,
+           std::uint64_t max_value = ~std::uint64_t{0}) const
     {
         const auto it = values.find(key);
         if (it == values.end())
             return fallback;
-        return std::strtoull(it->second.c_str(), nullptr, 0);
+        std::uint64_t value = 0;
+        if (!parseUint64DecOrHex(it->second, &value))
+            throwKernelError(context_ + ": " + key + "=" + it->second +
+                             " is not a decimal or 0x integer");
+        if (value < min_value || value > max_value) {
+            throwKernelError(context_ + ": " + key + "=" + it->second +
+                             " outside [" + std::to_string(min_value) +
+                             ", " + std::to_string(max_value) + "]");
+        }
+        return value;
     }
 
     std::uint64_t
-    requireU64(const std::string& key) const
+    requireU64(const std::string& key, std::uint64_t min_value = 0,
+               std::uint64_t max_value = ~std::uint64_t{0}) const
     {
         if (!has(key))
             throwKernelError(context_ + ": missing required key '" + key +
                              "'");
-        return getU64(key, 0);
+        return getU64(key, 0, min_value, max_value);
+    }
+
+    /** getU64 narrowed to int; the range must lie within int. */
+    int
+    getInt(const std::string& key, int fallback, int min_value,
+           int max_value = std::numeric_limits<int>::max()) const
+    {
+        return static_cast<int>(getU64(
+            key, static_cast<std::uint64_t>(fallback),
+            static_cast<std::uint64_t>(min_value),
+            static_cast<std::uint64_t>(max_value)));
     }
 
     std::int64_t
@@ -66,7 +116,11 @@ class Params
         const auto it = values.find(key);
         if (it == values.end())
             return fallback;
-        return std::strtoll(it->second.c_str(), nullptr, 0);
+        std::int64_t value = 0;
+        if (!parseInt64DecOrHex(it->second, &value))
+            throwKernelError(context_ + ": " + key + "=" + it->second +
+                             " is not a decimal or 0x integer");
+        return value;
     }
 
     double
@@ -75,7 +129,11 @@ class Params
         const auto it = values.find(key);
         if (it == values.end())
             return fallback;
-        return std::atof(it->second.c_str());
+        double value = 0.0;
+        if (!parseDoubleStrict(it->second, &value))
+            throwKernelError(context_ + ": " + key + "=" + it->second +
+                             " is not a finite number");
+        return value;
     }
 
     /** Register-valued key: accepts both `r3` and bare `3`. */
@@ -87,7 +145,8 @@ class Params
             throwKernelError(context_ + ": missing required key '" + key +
                              "'");
         const std::string& v = it->second;
-        return std::atoi(v[0] == 'r' ? v.c_str() + 1 : v.c_str());
+        return parseRegNumber(v.substr(!v.empty() && v[0] == 'r' ? 1 : 0),
+                              v, context_);
     }
 
   private:
@@ -101,15 +160,9 @@ class Params
  * with the line number instead.
  */
 int
-parseLanes(const Params& p, const std::string& context)
+parseLanes(const Params& p)
 {
-    const std::uint64_t lanes = p.getU64("lanes", kWarpSize);
-    if (lanes < 1 || lanes > static_cast<std::uint64_t>(kWarpSize)) {
-        throwKernelError(context + ": lanes=" + std::to_string(lanes) +
-                         " outside [1, " + std::to_string(kWarpSize) +
-                         "]");
-    }
-    return static_cast<int>(lanes);
+    return p.getInt("lanes", kWarpSize, 1, kWarpSize);
 }
 
 /** Parse an `r<N>` register name. */
@@ -119,7 +172,7 @@ parseReg(const std::string& token, const std::string& context)
     if (token.size() < 2 || token[0] != 'r')
         throwKernelError(context + ": expected register rN, got '" + token +
                          "'");
-    return std::atoi(token.c_str() + 1);
+    return parseRegNumber(token.substr(1), token, context);
 }
 
 } // namespace
@@ -137,7 +190,7 @@ parseAddressGen(const std::string& text)
     }
     if (kind == "window") {
         return std::make_unique<SharedWindowGen>(
-            p.requireU64("base"), p.requireU64("footprint"),
+            p.requireU64("base"), p.requireU64("footprint", 1, kMaxRegionBytes),
             p.getI64("iter", 0), p.getI64("skew", 0), p.getI64("sm", 0));
     }
     if (kind == "strided") {
@@ -147,16 +200,16 @@ parseAddressGen(const std::string& text)
     }
     if (kind == "irregular") {
         return std::make_unique<IrregularGen>(
-            p.requireU64("base"), p.requireU64("lines") * 128,
-            static_cast<int>(p.getU64("sharewarps", 1)),
-            static_cast<int>(p.getU64("shareiters", 1)),
-            p.getU64("seed", 1),
-            static_cast<int>(p.getU64("lag", 0)));
+            p.requireU64("base"),
+            p.requireU64("lines", 1, kMaxRegionBytes / 128) * 128,
+            p.getInt("sharewarps", 1, 1), p.getInt("shareiters", 1, 1),
+            p.getU64("seed", 1), p.getInt("lag", 0, 0));
     }
     if (kind == "zipf") {
         return std::make_unique<ZipfGen>(
             p.requireU64("base"),
-            static_cast<std::size_t>(p.requireU64("lines")),
+            static_cast<std::size_t>(
+                p.requireU64("lines", 1, ZipfGen::kMaxLines)),
             p.getDouble("alpha", 1.0), p.getU64("seed", 1));
     }
     throwKernelError("unknown address generator kind: '" + kind + "'");
@@ -185,11 +238,13 @@ parseKernelText(std::istream& input)
         return it->second;
     };
 
+    // An explicit `pc=` (kInvalidPc when absent), checked for
+    // uniqueness; kInvalidPc itself means "auto" and is not writable.
     const auto checkExplicitPc = [&](const Params& p,
                                      const std::string& ctx) {
         if (!p.has("pc"))
             return static_cast<Pc>(kInvalidPc);
-        const Pc pc = static_cast<Pc>(p.getU64("pc", kInvalidPc));
+        const Pc pc = static_cast<Pc>(p.getU64("pc", 0, 0, kInvalidPc - 1));
         if (!explicit_pcs.insert(pc).second) {
             std::ostringstream oss;
             oss << ctx << ": duplicate pc 0x" << std::hex << pc
@@ -213,7 +268,9 @@ parseKernelText(std::istream& input)
         const std::string ctx = "line " + std::to_string(line_no);
 
         if (op == "kernel") {
-            if (!(in >> name >> trips) || trips < 1)
+            std::string trips_token;
+            if (!(in >> name >> trips_token) ||
+                !parseUint64DecOrHex(trips_token, &trips) || trips < 1)
                 throwKernelError(ctx + ": expected 'kernel NAME TRIPS'");
             builder = std::make_unique<KernelBuilder>(name);
         } else if (!builder) {
@@ -226,7 +283,11 @@ parseKernelText(std::istream& input)
                                  ": generators must be numbered in order");
             std::string rest;
             std::getline(in, rest);
-            gens.push_back(parseAddressGen(rest));
+            try {
+                gens.push_back(parseAddressGen(rest));
+            } catch (const SimError& e) {
+                throwKernelError(ctx + ": " + e.detail());
+            }
         } else if (op == "label") {
             std::string label_name;
             if (!(in >> label_name))
@@ -251,7 +312,7 @@ parseKernelText(std::istream& input)
                 throwKernelError(ctx + ": expected 'load rN key=value...'");
             const int file_reg = parseReg(reg_token, ctx);
             Params p(in, ctx);
-            checkExplicitPc(p, ctx);
+            const Pc pc = checkExplicitPc(p, ctx);
             const auto gen_id = p.requireU64("gen");
             if (gen_id >= gens.size() || gens[gen_id] == nullptr)
                 throwKernelError(ctx + ": generator " +
@@ -259,11 +320,10 @@ parseKernelText(std::istream& input)
                                  " not defined (each may be used once)");
             const int dep =
                 p.has("dep") ? mapped(p.getReg("dep"), ctx) : kNoReg;
-            const int lanes = parseLanes(p, ctx);
-            const int reg = builder->load(
-                std::move(gens[gen_id]),
-                static_cast<int>(p.getU64("lanestride", 4)),
-                static_cast<Pc>(p.getU64("pc", kInvalidPc)), dep, lanes);
+            const int lanes = parseLanes(p);
+            const int reg = builder->load(std::move(gens[gen_id]),
+                                          p.getInt("lanestride", 4, 0), pc,
+                                          dep, lanes);
             reg_map[file_reg] = reg;
             last_lanes = lanes;
         } else if (op == "alu" || op == "sfu") {
@@ -277,16 +337,23 @@ parseKernelText(std::istream& input)
             std::string token;
             while (in >> token) {
                 if (token.rfind("lat=", 0) == 0) {
-                    latency = std::atoi(token.c_str() + 4);
-                    if (latency < 1) {
+                    std::uint64_t lat = 0;
+                    if (!parseUint64DecOrHex(token.substr(4), &lat) ||
+                        lat < 1 || lat > kIntMax) {
                         throwKernelError(ctx + ": lat=" +
                                          token.substr(4) +
                                          " must be a positive cycle "
                                          "count");
                     }
+                    latency = static_cast<int>(lat);
                 } else {
                     srcs.push_back(mapped(parseReg(token, ctx), ctx));
                 }
+            }
+            if (srcs.size() > static_cast<std::size_t>(kMaxSrcRegs)) {
+                throwKernelError(ctx + ": " + op + " takes at most " +
+                                 std::to_string(kMaxSrcRegs) +
+                                 " source registers");
             }
             const int reg = op == "alu" ? builder->alu(srcs, 1, latency)
                                         : builder->sfu(srcs, latency);
@@ -305,15 +372,15 @@ parseKernelText(std::istream& input)
                                  " not defined (each may be used once)");
             const int dep =
                 p.has("dep") ? mapped(p.getReg("dep"), ctx) : kNoReg;
-            const int lanes = parseLanes(p, ctx);
+            const int lanes = parseLanes(p);
             const int reg = builder->sharedLoad(
-                std::move(gens[gen_id]),
-                static_cast<int>(p.getU64("lanestride", 4)), dep, lanes);
+                std::move(gens[gen_id]), p.getInt("lanestride", 4, 0), dep,
+                lanes);
             reg_map[file_reg] = reg;
             last_lanes = lanes;
         } else if (op == "store") {
             Params p(in, ctx);
-            checkExplicitPc(p, ctx);
+            const Pc pc = checkExplicitPc(p, ctx);
             const auto gen_id = p.requireU64("gen");
             if (gen_id >= gens.size() || gens[gen_id] == nullptr)
                 throwKernelError(ctx + ": generator " +
@@ -321,11 +388,9 @@ parseKernelText(std::istream& input)
                                  " not defined (each may be used once)");
             const int src =
                 p.has("src") ? mapped(p.getReg("src"), ctx) : kNoReg;
-            const int lanes = parseLanes(p, ctx);
+            const int lanes = parseLanes(p);
             builder->store(std::move(gens[gen_id]), src,
-                           static_cast<int>(p.getU64("lanestride", 4)),
-                           static_cast<Pc>(p.getU64("pc", kInvalidPc)),
-                           lanes);
+                           p.getInt("lanestride", 4, 0), pc, lanes);
             last_lanes = lanes;
         } else if (op == "barrier") {
             Params p(in, ctx);

@@ -21,9 +21,12 @@
  * `writeKernelText()` emits this form for any Kernel (round-trip safe);
  * `parseKernelText()` builds the Kernel back. Registers are named
  * `r<N>` in definition order; `dep=` chains a load's address
- * computation behind a producer; `alu` lines take 1-3 sources.
- * Malformed input terminates via fatal() with a line diagnostic (user
- * error, per the logging conventions).
+ * computation behind a producer; `alu` lines take 0-3 sources.
+ * Every number is one whole decimal or `0x` token (`010` is ten; a
+ * leading `-` only on the signed strides and offsets). Malformed
+ * input — garbage or out-of-range numbers, zero generator sizes or
+ * sharing degrees, a zipf table above ZipfGen::kMaxLines lines —
+ * throws SimError(kKernel) naming the offending line.
  */
 
 #ifndef APRES_ISA_KERNEL_TEXT_HPP
@@ -42,7 +45,7 @@ Kernel parseKernelText(std::istream& input);
 /** Convenience: parse from a string. */
 Kernel parseKernelText(const std::string& text);
 
-/** Load a kernel definition from a file (fatal() if unreadable). */
+/** Load a kernel definition from a file (KernelError if unreadable). */
 Kernel loadKernelFile(const std::string& path);
 
 /** Emit the canonical text form of @p kernel. */

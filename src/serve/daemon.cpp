@@ -668,7 +668,6 @@ ServeDaemon::handleRun(const ServeRequest& request)
     // cached or executed.
     RunnerOptions runner_opts;
     runner_opts.threads = opts_.threads;
-    runner_opts.seedMode = SeedMode::kUseConfigSeed;
     runner_opts.keepGoing = true; // errors become rows, batch completes
     runner_opts.retries = request.retries;
     runner_opts.jobTimeoutSeconds = request.timeoutSeconds;

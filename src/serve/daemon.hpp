@@ -5,9 +5,9 @@
  * The daemon accepts batched run requests as JSON over an AF_UNIX
  * stream socket (protocol.hpp), answers cache hits straight from the
  * two-tier content-addressed ResultCache, and queues the misses
- * across the existing sweep worker pool (SweepRunner in
- * SeedMode::kUseConfigSeed, so a job's identity never depends on its
- * batch position). Every uncached "ok" result is serialized
+ * across the existing sweep worker pool (SweepRunner, which runs each
+ * config as given, so a job's identity never depends on its batch
+ * position). Every uncached "ok" result is serialized
  * canonically, stored under its content hash, and — on every later
  * request for the same semantic configuration — returned
  * bitwise-identical with zero re-simulation.

@@ -147,11 +147,13 @@ struct GpuConfig
     bool metrics = false;
 
     /**
-     * Seed of the Gpu-owned Rng. Every simulation is a pure function
-     * of its configuration (including this field): any stochastic
-     * model component must draw from Gpu::rng(), never from a global
-     * or wall-clock source. Sweep runners overwrite this per job with
-     * deriveJobSeed(baseSeed, jobIndex).
+     * Result-cache identity salt ("seed"): a semantic registry key, so
+     * it enters the serve cache key, but no model component reads it
+     * and every statistic is independent of it (pinned by
+     * Determinism.SeedChangesNoStatistic). Callers set it to force a
+     * cold request for an otherwise cached configuration. The
+     * simulator has no randomness to seed: the irregular/zipf address
+     * generators carry their own `seed=` attribute in the kernel.
      */
     std::uint64_t seed = 0x9E3779B97F4A7C15ull;
 

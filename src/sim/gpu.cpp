@@ -59,7 +59,7 @@ GpuConfig::label() const
 }
 
 Gpu::Gpu(const GpuConfig& config, const Kernel& kernel_ref)
-    : cfg(config), rng_(config.seed), kernel(kernel_ref)
+    : cfg(config), kernel(kernel_ref)
 {
     assert(cfg.numSms >= 1);
     if (cfg.sm.warpsPerSm < 1)

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/trace.hpp"
 #include "core/sm.hpp"
@@ -226,14 +225,6 @@ class Gpu
     /** The shared memory side. */
     const MemorySystem& memorySystem() const { return *memsys; }
 
-    /**
-     * This simulation's private random stream, seeded from
-     * GpuConfig::seed. Stochastic model components must draw from it
-     * (and only it) so concurrent simulations stay independent and a
-     * run remains a pure function of its configuration.
-     */
-    Rng& rng() { return rng_; }
-
     /** The event tracer (null unless GpuConfig::trace). */
     const Tracer* tracer() const { return tracer_.get(); }
 
@@ -279,7 +270,6 @@ class Gpu
     int resolveShardCount() const;
 
     GpuConfig cfg;
-    Rng rng_;
     const Kernel& kernel;
     std::unique_ptr<MemorySystem> memsys;
     std::vector<std::unique_ptr<Scheduler>> schedulers;

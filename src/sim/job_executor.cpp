@@ -27,20 +27,17 @@ struct JobTimeout
 JobExecutor::JobExecutor(JobExecutionPolicy policy) : policy_(policy) {}
 
 JobOutcome
-JobExecutor::execute(const SweepJob& job, std::uint64_t seed) const
+JobExecutor::execute(const SweepJob& job) const
 {
     if (!job.kernel)
         fatal("JobExecutor::execute: job \"" + job.label +
               "\" has no kernel");
 
-    GpuConfig cfg = job.config;
-    cfg.seed = seed;
-
     JobOutcome outcome;
     const int attempts = 1 + std::max(0, policy_.retries);
     const auto job_start = std::chrono::steady_clock::now();
 
-    // Fault isolation: every attempt (same seed) runs under try/catch
+    // Fault isolation: every attempt (same config) runs under try/catch
     // plus an optional cooperative wall-clock deadline. A failure
     // becomes a machine-readable error row instead of tearing the
     // process down.
@@ -53,7 +50,7 @@ JobExecutor::execute(const SweepJob& job, std::uint64_t seed) const
             // error-row path. One relaxed load when disarmed.
             faultInjectAt("job.execute");
             executions_.fetch_add(1, std::memory_order_relaxed);
-            Gpu gpu(cfg, *job.kernel);
+            Gpu gpu(job.config, *job.kernel);
             if (policy_.timeoutSeconds > 0.0) {
                 const auto deadline =
                     std::chrono::steady_clock::now() +

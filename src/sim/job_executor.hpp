@@ -4,16 +4,14 @@
  *
  * A "job" is one simulation: a GpuConfig over an immutable Kernel.
  * JobExecutor::execute runs exactly one job — with fault isolation,
- * an optional cooperative wall-clock deadline and same-seed retries —
+ * an optional cooperative wall-clock deadline and identical retries —
  * and reports the outcome as data (a RunResult row plus the failure,
  * if any). It never touches threads, queues or process state, so the
  * same core backs the CLI sweep runner (runner.hpp), the apres_serve
  * daemon's worker pool, and unit tests driving single jobs.
  *
- * Determinism contract: execute() runs the job with exactly the seed
- * it is given — seed *policy* (derive-from-index for sweeps, content
- * seed for the service) belongs to the frontend. A job is a pure
- * function of (config incl. seed, kernel), which is what makes
+ * Determinism contract: execute() runs job.config exactly as given.
+ * A job is a pure function of (config, kernel), which is what makes
  * memoizing results in a content-addressed cache sound.
  */
 
@@ -35,7 +33,7 @@ namespace apres {
 struct SweepJob
 {
     std::string label;                     ///< for reports and progress
-    GpuConfig config;                      ///< copied; seed is overwritten
+    GpuConfig config;                      ///< run exactly as given
     std::shared_ptr<const Kernel> kernel;  ///< must be non-null
 
     /**
@@ -53,7 +51,7 @@ struct JobExecutionPolicy
 {
     /**
      * Re-run attempts after a failed or timed-out job. Every attempt
-     * uses the same seed, so a retry only helps against environmental
+     * runs the same config, so a retry only helps against environmental
      * flakes — a deterministic failure fails all attempts identically,
      * which is itself diagnostic.
      */
@@ -97,11 +95,11 @@ class JobExecutor
     explicit JobExecutor(JobExecutionPolicy policy = {});
 
     /**
-     * Run @p job with GpuConfig::seed forced to @p seed. Exceptions
-     * from the simulation become the outcome's failure — execute()
-     * itself only throws on driver misuse (null kernel).
+     * Run @p job. Exceptions from the simulation become the outcome's
+     * failure — execute() itself only throws on driver misuse (null
+     * kernel).
      */
-    JobOutcome execute(const SweepJob& job, std::uint64_t seed) const;
+    JobOutcome execute(const SweepJob& job) const;
 
     /**
      * Simulations actually started (attempts, not jobs), across all

@@ -17,18 +17,8 @@
 #include <unistd.h>
 
 #include "common/log.hpp"
-#include "isa/address_gen.hpp" // mix64
 
 namespace apres {
-
-std::uint64_t
-deriveJobSeed(std::uint64_t base_seed, std::size_t job_index)
-{
-    // mix64 is the simulator's stateless hash; +1 keeps index 0 from
-    // collapsing onto the plain base seed.
-    return mix64(base_seed, static_cast<std::uint64_t>(job_index) + 1,
-                 0x4150'5245'5357'4545ull); // "APRESWEE"
-}
 
 int
 defaultJobCount()
@@ -153,16 +143,10 @@ SweepRunner::runAll()
                 return;
             started[i] = 1;
             const SweepJob& job = jobs[i];
-            const std::uint64_t seed =
-                opts.seedMode == SeedMode::kUseConfigSeed
-                ? job.config.seed
-                : deriveJobSeed(opts.baseSeed, i);
-
             SweepResult& slot = results[i];
             slot.label = job.label;
-            slot.seed = seed;
 
-            JobOutcome outcome = executor.execute(job, seed);
+            JobOutcome outcome = executor.execute(job);
             slot.result = std::move(outcome.result);
             slot.wallSeconds = outcome.wallSeconds;
 
@@ -194,9 +178,6 @@ SweepRunner::runAll()
             continue;
         SweepResult& slot = results[i];
         slot.label = jobs[i].label;
-        slot.seed = opts.seedMode == SeedMode::kUseConfigSeed
-            ? jobs[i].config.seed
-            : deriveJobSeed(opts.baseSeed, i);
         slot.result.status = "skipped";
         slot.result.errorDetail =
             "not run: the sweep aborted after an earlier job failed";

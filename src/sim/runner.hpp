@@ -12,9 +12,8 @@
  *
  *  - a simulation is a pure function of (GpuConfig, Kernel); kernels
  *    and their address generators are immutable during runs and may be
- *    shared across threads,
- *  - every job gets a deterministic seed derived from (base seed, job
- *    index) via deriveJobSeed(), independent of scheduling order,
+ *    shared across threads, and a job runs its config exactly as
+ *    submitted,
  *  - there is no work stealing and no cross-job state: workers pull
  *    the next job index from one atomic counter and write into their
  *    own result slot.
@@ -26,8 +25,8 @@
  * The runner is a *frontend*: per-job execution (fault isolation,
  * timeouts, retries) lives in the pure JobExecutor core
  * (job_executor.hpp), which the apres_serve daemon shares. The runner
- * adds the thread pool, seed derivation, progress reporting and the
- * keep-going/abort sweep semantics.
+ * adds the thread pool, progress reporting and the keep-going/abort
+ * sweep semantics.
  */
 
 #ifndef APRES_SIM_RUNNER_HPP
@@ -44,24 +43,15 @@
 
 namespace apres {
 
-/** Default base seed of a sweep (job seeds derive from it). */
-inline constexpr std::uint64_t kDefaultSweepSeed = 0xA5E5'1CAF'FE15'CA16ull;
-
-/** Where a job's Rng seed comes from. */
+/**
+ * Where a job's GpuConfig::seed comes from. Only one policy is left —
+ * the config's own seed, which no statistic depends on — so this enum
+ * and RunnerOptions::seedMode survive only because the benchmark
+ * harness (perfbench/harness/{paper_suite,layers}.cpp) assigns them.
+ * Delete both with the next change to the benchmark.
+ */
 enum class SeedMode {
-    /**
-     * deriveJobSeed(baseSeed, index): every sweep job gets its own
-     * deterministic stream (the CLI/bench default).
-     */
-    kDeriveFromBase,
-
-    /**
-     * The job's GpuConfig::seed is used untouched. The apres_serve
-     * daemon runs in this mode: the seed is part of the semantic
-     * configuration, so the cache key covers it and a job's identity
-     * never depends on its position in a batch.
-     */
-    kUseConfigSeed,
+    kUseConfigSeed, ///< run job.config untouched
 };
 
 /** How a sweep executes. */
@@ -70,18 +60,15 @@ struct RunnerOptions
     /** Worker threads; <= 0 selects defaultJobCount(). */
     int threads = 0;
 
-    /** Base seed; job i runs with deriveJobSeed(baseSeed, i). */
-    std::uint64_t baseSeed = kDefaultSweepSeed;
-
-    /** Seed policy; see SeedMode. */
-    SeedMode seedMode = SeedMode::kDeriveFromBase;
+    /** Kept for the benchmark harness only; see SeedMode. */
+    SeedMode seedMode = SeedMode::kUseConfigSeed;
 
     /** Emit a progress line to stderr while the sweep runs. */
     bool progress = false;
 
     /**
      * Re-run attempts after a failed or timed-out job ("--retries").
-     * Every attempt uses the same derived seed, so a retry only helps
+     * Every attempt runs the same config, so a retry only helps
      * against environmental flakes — a deterministic failure fails all
      * attempts identically, which is itself diagnostic.
      */
@@ -116,16 +103,8 @@ struct SweepResult
 {
     std::string label;        ///< copied from the job
     RunResult result;         ///< the simulation's outcome
-    std::uint64_t seed = 0;   ///< the derived per-job seed it ran with
     double wallSeconds = 0.0; ///< wall-clock time of this job
 };
-
-/**
- * Deterministic per-job seed: a pure function of (base seed, job
- * index), so results never depend on which thread ran the job or in
- * what order jobs finished.
- */
-std::uint64_t deriveJobSeed(std::uint64_t base_seed, std::size_t job_index);
 
 /**
  * Worker-thread count for sweeps: APRES_BENCH_JOBS when it parses as a

@@ -1,7 +1,7 @@
 /**
  * @file
- * apres_explore — coverage-guided workload exploration and
- * statistical policy comparison.
+ * apres_explore — coverage-guided workload exploration and policy
+ * comparison.
  *
  * Two modes, selected by the first positional argument:
  *
@@ -14,16 +14,15 @@
  * coverage bins they newly light, minimized, and written to the
  * corpus directory as self-describing .kt files.
  *
- *   apres_explore compare --seeds 20 --policy lrr+none \
- *       --policy laws+sap --workload KM,BFS --json compare.json
+ *   apres_explore compare --policy lrr+none --policy laws+sap \
+ *       --workload KM,BFS --json compare.json
  *
- * runs every (kernel, policy) cell under N paired seeds through the
- * sweep runner and reports per-pair mean speedups with bootstrap 95%
- * confidence intervals (JSON and/or CSV) — error bars instead of
- * single-run deltas. With --cache-dir the cells are memoized in the
- * serve result cache, so warm re-runs cost zero simulations.
+ * simulates every (kernel, policy) cell once through the sweep runner
+ * and reports both IPCs and their ratio per policy pair (JSON and/or
+ * CSV). With --cache-dir the cells are memoized in the serve result
+ * cache, so warm re-runs cost zero simulations.
  *
- * Both modes are bitwise-deterministic given --seed.
+ * Both modes are bitwise-deterministic (explore given its --seed).
  */
 
 #include <fstream>
@@ -47,7 +46,7 @@ void
 printHelp()
 {
     std::cout <<
-        "apres_explore - coverage-guided exploration + policy statistics\n\n"
+        "apres_explore - coverage-guided exploration + policy comparison\n\n"
         "usage: apres_explore explore [options]\n"
         "       apres_explore compare [options]\n\n"
         "explore mode:\n"
@@ -62,12 +61,7 @@ printHelp()
         "                    a mutation (default 0.25)\n"
         "  --set KEY=VALUE   extra config override for every probe\n"
         "                    (repeatable)\n\n"
-        "compare mode:\n"
-        "  --seed N          base seed (default 1); seeds pair across\n"
-        "                    policies\n"
-        "  --seeds N         paired seeds per (kernel, policy) cell\n"
-        "                    (default 20)\n"
-        "  --resamples N     bootstrap resamples per pair (default 1000)\n"
+        "compare mode (one simulation per (kernel, policy) cell):\n"
         "  --policy S+P      scheduler+prefetcher contender (repeatable;\n"
         "                    default lrr+none, laws+sap)\n"
         "  --workload LIST   comma-separated Table IV names, or 'all'\n"
@@ -159,15 +153,7 @@ runCompare(const std::vector<std::string>& args)
                 fatal("option " + arg + " needs a value");
             return args[++i];
         };
-        if (arg == "--seed") {
-            opts.seed = parseUintOption(arg, next());
-        } else if (arg == "--seeds") {
-            opts.numSeeds =
-                static_cast<int>(parsePositiveUintOption(arg, next()));
-        } else if (arg == "--resamples") {
-            opts.resamples =
-                static_cast<int>(parsePositiveUintOption(arg, next()));
-        } else if (arg == "--policy") {
+        if (arg == "--policy") {
             const std::string& spec = next();
             const std::size_t plus = spec.find('+');
             if (plus == std::string::npos || plus == 0 ||

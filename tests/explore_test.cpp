@@ -2,7 +2,7 @@
  * @file
  * Tests of the explore subsystem: signature genome round-trips,
  * coverage-bin extraction, the campaign's determinism contract, the
- * bootstrap statistics, and the checked-in adversarial corpus as
+ * policy comparison harness, and the checked-in adversarial corpus as
  * regression workloads.
  */
 
@@ -23,6 +23,7 @@
 #include "isa/kernel_text.hpp"
 #include "sim/config_registry.hpp"
 #include "sim/gpu.hpp"
+#include "workloads/workload.hpp"
 
 using namespace apres;
 
@@ -314,7 +315,8 @@ TEST(Corpus, EveryKernelOwnsUniqueCoverage)
     // time; the checked-in set must stay minimal, i.e. every kernel
     // holds at least one bin no other corpus member lights. Uses the
     // campaign probes, so this also re-derives each member's
-    // coverage from scratch (fixed probe seeds make that exact).
+    // coverage from scratch (exactly: a run is a pure function of its
+    // config and kernel).
     const auto files = corpusFiles();
     Explorer explorer{ExploreOptions{}};
     std::vector<std::vector<std::string>> all_bins;
@@ -339,85 +341,43 @@ TEST(Corpus, EveryKernelOwnsUniqueCoverage)
 }
 
 // ---------------------------------------------------------------------------
-// Bootstrap statistics
-
-TEST(Bootstrap, DeterministicAndOrdered)
-{
-    const std::vector<double> samples = {1.0, 1.1, 0.9, 1.3, 1.05};
-    Rng a(99);
-    Rng b(99);
-    const auto ci1 = bootstrapMeanCi(samples, 500, 0.95, a);
-    const auto ci2 = bootstrapMeanCi(samples, 500, 0.95, b);
-    EXPECT_EQ(ci1, ci2);
-    EXPECT_LE(ci1.first, ci1.second);
-    // The CI must bracket the sample mean for any sane resampling.
-    const double mean = 1.07;
-    EXPECT_LE(ci1.first, mean);
-    EXPECT_GE(ci1.second, mean);
-}
-
-TEST(Bootstrap, DegenerateSamplesGiveZeroWidth)
-{
-    const std::vector<double> samples(10, 2.5);
-    Rng rng(1);
-    const auto ci = bootstrapMeanCi(samples, 100, 0.95, rng);
-    EXPECT_DOUBLE_EQ(ci.first, 2.5);
-    EXPECT_DOUBLE_EQ(ci.second, 2.5);
-}
-
-TEST(Bootstrap, WiderConfidenceGivesWiderInterval)
-{
-    std::vector<double> samples;
-    Rng gen(5);
-    for (int i = 0; i < 30; ++i)
-        samples.push_back(0.8 + 0.4 * gen.nextDouble());
-    Rng a(7);
-    Rng b(7);
-    const auto narrow = bootstrapMeanCi(samples, 1000, 0.5, a);
-    const auto wide = bootstrapMeanCi(samples, 1000, 0.99, b);
-    EXPECT_LE(wide.first, narrow.first);
-    EXPECT_GE(wide.second, narrow.second);
-}
-
-TEST(Bootstrap, RejectsBadInputs)
-{
-    Rng rng(1);
-    EXPECT_THROW(bootstrapMeanCi({}, 100, 0.95, rng), SimError);
-    EXPECT_THROW(bootstrapMeanCi({1.0}, 0, 0.95, rng), SimError);
-    EXPECT_THROW(bootstrapMeanCi({1.0}, 100, 1.5, rng), SimError);
-}
-
-// ---------------------------------------------------------------------------
 // Policy comparison harness
 
-TEST(Compare, PairedSeedsWithBootstrapCi)
+TEST(Compare, OneRunPerKernelPolicyCell)
 {
     CompareOptions opts;
-    opts.seed = 3;
-    opts.numSeeds = 4;
-    opts.resamples = 200;
-    opts.policies = {{"lrr", "none"}, {"laws", "sap"}};
-    CompareKernel k;
-    k.label = "KM";
-    k.workload = "KM";
-    k.scale = 0.02;
-    opts.kernels = {k};
+    opts.policies = {{"lrr", "none"}, {"gto", "none"}, {"laws", "sap"}};
+    for (const char* app : {"KM", "BFS"}) {
+        CompareKernel k;
+        k.label = app;
+        k.workload = app;
+        k.scale = 0.02;
+        opts.kernels.push_back(k);
+    }
     opts.overrides = {{"maxCycles", "2000000"}, {"numSms", "2"}};
     opts.threads = 2;
 
     const CompareReport report = runComparison(opts);
-    ASSERT_EQ(report.pairs.size(), 1u);
-    const ComparePair& pair = report.pairs[0];
-    EXPECT_EQ(pair.baseline, "lrr+none");
-    EXPECT_EQ(pair.candidate, "laws+sap");
-    EXPECT_EQ(pair.n, 4);
-    EXPECT_EQ(pair.speedups.size(), 4u);
-    EXPECT_GT(pair.meanIpcBaseline, 0.0);
-    EXPECT_GT(pair.meanSpeedup, 0.0);
-    EXPECT_LE(pair.ciLow, pair.meanSpeedup);
-    EXPECT_GE(pair.ciHigh, pair.meanSpeedup);
-    EXPECT_EQ(report.simulations, 8u);
+    EXPECT_EQ(report.simulations, 2u * 3u);
     EXPECT_EQ(report.cacheHits, 0u);
+    ASSERT_EQ(report.pairs.size(), 2u * 3u); // kernels x C(3, 2)
+    for (const ComparePair& pair : report.pairs) {
+        EXPECT_GT(pair.ipcBaseline, 0.0) << pair.kernel;
+        EXPECT_GT(pair.ipcCandidate, 0.0) << pair.kernel;
+        EXPECT_EQ(pair.speedup, pair.ipcCandidate / pair.ipcBaseline);
+    }
+    const ComparePair& first = report.pairs[0];
+    EXPECT_EQ(first.kernel, "KM");
+    EXPECT_EQ(first.baseline, "lrr+none");
+    EXPECT_EQ(first.candidate, "gto+none");
+
+    // A cell's IPC is exactly the IPC of a direct run of its config.
+    GpuConfig cfg;
+    ConfigRegistry reg(cfg);
+    for (const auto& [key, value] : opts.overrides)
+        reg.set(key, value);
+    const Kernel km = makeWorkload("KM", 0.02).kernel;
+    EXPECT_EQ(first.ipcBaseline, Gpu(cfg, km).run().ipc);
 
     // Determinism: the same options produce a bitwise-identical
     // document, thread pool and all.
@@ -435,9 +395,6 @@ TEST(Compare, WarmRerunsComeFromTheResultCache)
     fs::remove_all(dir);
 
     CompareOptions opts;
-    opts.seed = 4;
-    opts.numSeeds = 2;
-    opts.resamples = 50;
     opts.policies = {{"lrr", "none"}, {"gto", "none"}};
     CompareKernel k;
     k.label = "BFS";
@@ -448,15 +405,16 @@ TEST(Compare, WarmRerunsComeFromTheResultCache)
     opts.cacheDir = dir.string();
 
     const CompareReport cold = runComparison(opts);
-    EXPECT_EQ(cold.simulations, 4u);
+    EXPECT_EQ(cold.simulations, 2u);
     EXPECT_EQ(cold.cacheHits, 0u);
 
     const CompareReport warm = runComparison(opts);
     EXPECT_EQ(warm.simulations, 0u);
-    EXPECT_EQ(warm.cacheHits, 4u);
+    EXPECT_EQ(warm.cacheHits, 2u);
     ASSERT_EQ(warm.pairs.size(), cold.pairs.size());
-    EXPECT_EQ(warm.pairs[0].speedups, cold.pairs[0].speedups);
-    EXPECT_EQ(warm.pairs[0].meanSpeedup, cold.pairs[0].meanSpeedup);
+    EXPECT_EQ(warm.pairs[0].ipcBaseline, cold.pairs[0].ipcBaseline);
+    EXPECT_EQ(warm.pairs[0].ipcCandidate, cold.pairs[0].ipcCandidate);
+    EXPECT_EQ(warm.pairs[0].speedup, cold.pairs[0].speedup);
     fs::remove_all(dir);
 }
 
@@ -470,7 +428,6 @@ TEST(Compare, RejectsMalformedOptions)
     CompareKernel k;
     k.label = "empty";
     opts.kernels = {k};
-    opts.numSeeds = 2;
     EXPECT_THROW(runComparison(opts), SimError); // kernel has no source
 }
 

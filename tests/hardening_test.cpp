@@ -417,7 +417,7 @@ TEST(JobExecutor, CountsEveryAttempt)
     job.config = wedged;
     job.kernel = kernel;
     const JobExecutor executor(JobExecutionPolicy{/*retries=*/2, 0.0});
-    const JobOutcome outcome = executor.execute(job, /*seed=*/1);
+    const JobOutcome outcome = executor.execute(job);
     EXPECT_FALSE(outcome.ok());
     EXPECT_EQ(outcome.result.status, "error");
     // 1 try + 2 retries, each counted: the executions() counter is
@@ -430,7 +430,7 @@ TEST(JobExecutor, CountsEveryAttempt)
     good.label = "good";
     good.config = fine;
     good.kernel = kernel;
-    const JobOutcome ok = executor.execute(good, /*seed=*/1);
+    const JobOutcome ok = executor.execute(good);
     EXPECT_TRUE(ok.ok());
     EXPECT_EQ(ok.result.status, "ok");
     EXPECT_GT(ok.wallSeconds, 0.0);
@@ -439,10 +439,10 @@ TEST(JobExecutor, CountsEveryAttempt)
 
 TEST(Runner, ConfigSeedModeMakesResultsPositionIndependent)
 {
-    // In kUseConfigSeed mode a job's result is a pure function of its
-    // configuration — the property the service's content-addressed
-    // cache is built on. Run the same config at slot 0 and slot 2 of
-    // different batches and require identical stats.
+    // A job's result is a pure function of its configuration — the
+    // property the service's content-addressed cache is built on. Run
+    // the same config at slot 0 and slot 2 of different batches and
+    // require identical stats.
     const auto kernel = smallKernel();
     GpuConfig cfg = auditedGpu();
     cfg.audit = false;
@@ -452,7 +452,6 @@ TEST(Runner, ConfigSeedModeMakesResultsPositionIndependent)
 
     RunnerOptions opts;
     opts.threads = 2;
-    opts.seedMode = SeedMode::kUseConfigSeed;
 
     SweepRunner first(opts);
     first.submit("probe", cfg, kernel);

@@ -88,6 +88,21 @@ TEST(KernelText, AttributesApplied)
     EXPECT_EQ(k.at(0).activeLanes, 16);
     EXPECT_EQ(k.at(1).latency, 12);
     EXPECT_EQ(k.at(2).src[0], k.at(1).dst); // dep wired to the alu
+
+    // Numbers are whole decimal or 0x tokens: `010` is ten, not octal
+    // eight, and negative strides stay negative.
+    const Kernel nums = parseKernelText(
+        "kernel nums 2\n"
+        "gen 0 irregular base=0x1000 lines=010 sharewarps=2\n"
+        "gen 1 strided base=4096 warp=-0x80 iter=-128\n"
+        "load r0 gen=0\n"
+        "load r1 gen=1 dep=0x0\n");
+    EXPECT_EQ(nums.addrGen(0).serialize(),
+              "irregular base=4096 lines=10 sharewarps=2 shareiters=1 "
+              "seed=1 lag=0");
+    EXPECT_EQ(nums.addrGen(1).serialize(),
+              "strided base=4096 warp=-128 iter=-128 sm=0");
+    EXPECT_EQ(nums.at(1).src[0], nums.at(0).dst);
 }
 
 TEST(KernelText, RoundTripPreservesBehaviour)
@@ -161,6 +176,44 @@ TEST(KernelText, ErrorsAreFatal)
         "load r0 gen=0\n"
         "alu r1 r0 lat=0\n",
         "must be a positive cycle count");
+    // Zero sizes and sharing degrees would divide by zero inside the
+    // generators (their asserts are compiled out of release builds).
+    bad("kernel k 1\ngen 0 irregular base=0 lines=0\n", "lines=0 outside");
+    bad("kernel k 1\ngen 0 irregular base=0 lines=64 shareiters=0\n",
+        "shareiters=0 outside");
+    bad("kernel k 1\ngen 0 irregular base=0 lines=64 sharewarps=0\n",
+        "sharewarps=0 outside");
+    bad("kernel k 1\ngen 0 window base=0 footprint=0\n",
+        "footprint=0 outside");
+    // Every number is a whole decimal or 0x token: no silent zero, no
+    // wrap-around, no octal, no trailing text.
+    bad("kernel k 1\ngen 0 zipf base=0 lines=abc\n",
+        "lines=abc is not a decimal or 0x integer");
+    bad("kernel k 1\ngen 0 irregular base=0 lines=-1\n",
+        "lines=-1 is not a decimal or 0x integer");
+    bad("kernel k 1\ngen 0 window base=0 footprint=64 iter=zz\n",
+        "iter=zz is not a decimal or 0x integer");
+    bad("kernel k 1\ngen 0 zipf base=0 lines=64 alpha=x\n",
+        "alpha=x is not a finite number");
+    bad("kernel k 1\ngen 0 uniform addr=0\nload rX gen=0\n",
+        "expected register rN, got 'rX'");
+    bad("kernel k 1\ngen 0 uniform addr=0\nload r0 gen=0 lanes=8x\n",
+        "lanes=8x is not a decimal or 0x integer");
+    bad("kernel k 1\ngen 0 uniform addr=0\nload r0 gen=0\n"
+        "alu r1 r0 lat=5cycles\n",
+        "must be a positive cycle count");
+    bad("kernel k two\n", "expected 'kernel NAME TRIPS'");
+    // A zipf table is one 8-byte CDF entry per line: bounded.
+    bad("kernel k 1\ngen 0 zipf base=0 lines=100000000000\n",
+        "lines=100000000000 outside [1, 1048576]");
+    // An ALU op has kMaxSrcRegs operand slots.
+    bad("kernel k 1\ngen 0 uniform addr=0\nload r0 gen=0\n"
+        "alu r1 r0 r0 r0 r0\n",
+        "at most 3 source registers");
+    // Generator errors name their line too.
+    bad("kernel k 1\ngen 0 uniform addr=0\ngen 1 irregular base=0 "
+        "lines=0\n",
+        "line 3: generator 'irregular': lines=0");
 }
 
 TEST(KernelText, ErrorsCarryLineNumbers)

@@ -23,7 +23,14 @@ Three modes, registered as separate ctest entries so failures localize:
               and reject it with each claim flipped in turn, naming
               the flipped claim as failed.
 
-usage: script_gates_test.py REPO_ROOT BUILD_DIR {regen|throughput|paper}
+  explore     scripts/check_explore.py must accept a healthy synthetic
+              explore report, a healthy v2 compare report and its warm
+              cache rerun, and reject unbalanced coverage books, a
+              missing pair, a zero IPC, a doctored speedup and a warm
+              rerun that simulated.
+
+usage: script_gates_test.py REPO_ROOT BUILD_DIR
+           {regen|throughput|paper|explore}
 """
 
 import filecmp
@@ -210,8 +217,107 @@ def run_paper(repo_root: str) -> int:
     return rc
 
 
+def run_explore(repo_root: str) -> int:
+    script = os.path.join(repo_root, "scripts", "check_explore.py")
+    explore = {
+        "schema": "apres-explore-report-v1",
+        "seed": 1,
+        "budget": 2,
+        "probes": [{"label": "apres", "overrides": {"scheduler": "laws"}}],
+        "initialCoverage": 3,
+        "finalCoverage": 5,
+        "newBins": 2,
+        "rounds": [
+            {"mode": "fresh", "name": "x000", "accepted": True,
+             "newBins": ["apres:status=ok", "apres:l1-miss@2^4"]},
+            {"mode": "mutate", "name": "x001", "accepted": False,
+             "newBins": []},
+        ],
+        "corpus": [{"name": "x000", "signature": "sig v1", "kept": True}],
+        "coverage": {"total": 5, "bins": ["a", "b", "c", "d", "e"]},
+    }
+
+    def pair(kernel, ipc_base, ipc_cand):
+        return {"kernel": kernel, "baseline": "lrr+none",
+                "candidate": "laws+sap", "ipcBaseline": ipc_base,
+                "ipcCandidate": ipc_cand, "speedup": ipc_cand / ipc_base}
+
+    compare = {
+        "tool": "apres_explore",
+        "schema": "apres-compare-report-v2",
+        "mode": "compare",
+        "policies": [{"label": "lrr+none"}, {"label": "laws+sap"}],
+        "kernels": [{"label": "KM"}, {"label": "BFS"}],
+        "pairs": [pair("KM", 3.7321648052156253, 3.686363516402312),
+                  pair("BFS", 7.80562027483239, 8.034849003964563)],
+        "simulations": 4,
+        "cacheHits": 0,
+    }
+    warm = dict(compare, simulations=0, cacheHits=4)
+
+    def doctored(doc, edit):
+        copy = json.loads(json.dumps(doc))
+        edit(copy)
+        return copy
+
+    def check(label, mode, doc, failure, warm_doc=None):
+        """@p failure: None to expect a pass, else a fragment the
+        rejection message must contain (the gate failed for the right
+        reason)."""
+        with tempfile.TemporaryDirectory(prefix="apres_explore_") as d:
+            path = os.path.join(d, "report.json")
+            with open(path, "w") as f:
+                json.dump(doc, f)
+            cmd = [sys.executable, script, mode, path]
+            if warm_doc is not None:
+                warm_path = os.path.join(d, "warm.json")
+                with open(warm_path, "w") as f:
+                    json.dump(warm_doc, f)
+                cmd += ["--warm", warm_path]
+            result = subprocess.run(cmd, capture_output=True, text=True)
+        if failure is None:
+            ok = result.returncode == 0
+        else:
+            ok = result.returncode != 0 and failure in result.stderr
+        if not ok:
+            want = "a pass" if failure is None else f"FAIL: ...{failure}"
+            print(f"FAIL: {label}: expected {want}, got exit "
+                  f"{result.returncode}\n{result.stdout}{result.stderr}")
+            return 1
+        print(f"ok: {label}: exit {result.returncode} as expected")
+        return 0
+
+    def set_key(key, value):
+        return lambda doc: doc.__setitem__(key, value)
+
+    def set_pair(key, value):
+        return lambda doc: doc["pairs"][0].__setitem__(key, value)
+
+    rc = check("healthy explore report passes", "explore", explore, None)
+    rc |= check("healthy compare report passes", "compare", compare, None)
+    rc |= check("healthy warm rerun passes", "compare", compare, None,
+                warm)
+    rc |= check("unbalanced coverage books trip the gate", "explore",
+                doctored(explore, set_key("newBins", 3)),
+                "coverage books don't balance")
+    rc |= check("a missing pair trips the gate", "compare",
+                doctored(compare, lambda doc: doc["pairs"].pop()),
+                "missing [('BFS', 'lrr+none', 'laws+sap')]")
+    rc |= check("a zero IPC trips the gate", "compare",
+                doctored(compare, set_pair("ipcBaseline", 0)),
+                "ipcBaseline=0 not finite > 0")
+    rc |= check("a doctored speedup trips the gate", "compare",
+                doctored(compare, set_pair("speedup", 0.99)),
+                "speedup 0.99 != ipcCandidate / ipcBaseline")
+    rc |= check("a warm rerun that simulated trips the gate", "compare",
+                compare, "warm rerun ran 1 simulations",
+                doctored(warm, lambda doc: doc.update(simulations=1,
+                                                      cacheHits=3)))
+    return rc
+
+
 def main() -> int:
-    modes = ("regen", "throughput", "paper")
+    modes = ("regen", "throughput", "paper", "explore")
     if len(sys.argv) != 4 or sys.argv[3] not in modes:
         print(__doc__, file=sys.stderr)
         return 2
@@ -220,6 +326,8 @@ def main() -> int:
         return run_regen(repo_root, build_dir)
     if mode == "paper":
         return run_paper(repo_root)
+    if mode == "explore":
+        return run_explore(repo_root)
     return run_throughput(repo_root)
 
 

@@ -513,6 +513,23 @@ TEST(ServeDaemon, FailuresBecomeRowsAndAreNeverCached)
     EXPECT_TRUE(doc2.at("runs").at(0).at("cached").asBool());
     EXPECT_FALSE(doc2.at("runs").at(2).at("cached").asBool());
     EXPECT_GT(daemon.simulationsRun(), after_first);
+
+    // Malformed kernel text fails its own row, ahead of a healthy job:
+    // a zero-line irregular generator would divide by zero inside the
+    // simulation and take the daemon down with it.
+    ServeJobSpec bad_kernel;
+    bad_kernel.label = "bad-kernel";
+    bad_kernel.kernelText =
+        "kernel k 4\ngen 0 irregular base=0 lines=0\nload r0 gen=0\n";
+    const JsonValue mixed =
+        JsonValue::parse(daemon.handleRequest(runRequest({bad_kernel, good})));
+    const JsonValue& bad_row = mixed.at("runs").at(0).at("result");
+    EXPECT_EQ(bad_row.at("status").asString(), "error");
+    EXPECT_EQ(bad_row.at("error").at("kind").asString(), "KernelError");
+    EXPECT_NE(bad_row.at("error").at("detail").asString().find("line 2"),
+              std::string::npos);
+    EXPECT_EQ(mixed.at("runs").at(1).at("result").at("status").asString(),
+              "ok");
 }
 
 TEST(ServeDaemon, TimeoutWithRetriesThroughServicePath)

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "isa/address_gen.hpp"
 #include "sim/gpu.hpp"
 #include "sim/policy_registry.hpp"
 #include "sim/runner.hpp"
@@ -42,6 +43,21 @@ TEST(Sim, CompletesAndReportsBasics)
     EXPECT_GT(r.instructions, 0u);
     EXPECT_GT(r.ipc, 0.0);
     EXPECT_GT(r.l1.demandAccesses, 0u);
+
+    // A load nobody consumes can still be in flight at kExit. Its
+    // completion must not put the finished warp back in the issue
+    // scan, where it would re-issue kExit, drive the live-warp count
+    // below zero and never drain.
+    KernelBuilder b("unconsumed");
+    b.load(std::make_unique<StridedGen>(4096, 2048, 98304));
+    const Kernel tail_load = b.build(4);
+    const GpuConfig cfg = smallGpu();
+    const RunResult t = simulate(cfg, tail_load);
+    EXPECT_TRUE(t.completed);
+    EXPECT_EQ(t.instructions,
+              static_cast<std::uint64_t>(cfg.numSms * cfg.sm.warpsPerSm *
+                                         cfg.sm.jobsPerWarp) *
+                  tail_load.dynamicInstructionsPerWarp());
 }
 
 TEST(Sim, DeterministicAcrossRuns)
@@ -248,22 +264,22 @@ expectIdenticalResults(const RunResult& a, const RunResult& b)
         EXPECT_EQ(value, sb.at(key)) << "stat " << key << " diverged";
 }
 
-TEST(Determinism, SameSeedTwiceIdenticalRunResult)
+TEST(Determinism, SeedChangesNoStatistic)
 {
+    // A run is a pure function of (config, kernel), and GpuConfig::seed
+    // reaches no model component: the same seed twice and two other
+    // seeds all give the identical result. This is why the sweep runner
+    // and compare mode run each cell once and never vary the seed.
     const Workload wl = makeWorkload("BFS", 0.1);
     GpuConfig cfg = smallGpu("laws", "sap");
     cfg.seed = 12345;
     const RunResult a = simulate(cfg, wl.kernel);
-    const RunResult b = simulate(cfg, wl.kernel);
-    expectIdenticalResults(a, b);
-}
-
-TEST(Determinism, DeriveJobSeedIsPureAndPerJob)
-{
-    EXPECT_EQ(deriveJobSeed(7, 0), deriveJobSeed(7, 0));
-    EXPECT_NE(deriveJobSeed(7, 0), deriveJobSeed(7, 1));
-    EXPECT_NE(deriveJobSeed(7, 0), deriveJobSeed(8, 0));
-    EXPECT_NE(deriveJobSeed(7, 1), deriveJobSeed(8, 0));
+    expectIdenticalResults(a, simulate(cfg, wl.kernel));
+    for (const std::uint64_t seed : {1ull, 2ull}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        cfg.seed = seed;
+        expectIdenticalResults(a, simulate(cfg, wl.kernel));
+    }
 }
 
 TEST(Determinism, DefaultJobCountEnvOverride)
@@ -318,16 +334,14 @@ TEST(Runner, ParallelIsBitIdenticalToSequential)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].label, b[i].label) << "ordering not stable at " << i;
-        EXPECT_EQ(a[i].seed, b[i].seed);
         expectIdenticalResults(a[i].result, b[i].result);
     }
 }
 
-TEST(Runner, ResultsInSubmissionOrderWithDerivedSeeds)
+TEST(Runner, ResultsInSubmissionOrder)
 {
     RunnerOptions opts;
     opts.threads = 4;
-    opts.baseSeed = 99;
     SweepRunner runner(opts);
     auto workload = std::make_shared<const Workload>(makeWorkload("SP", 0.05));
     const Kernel* kernel = &workload->kernel;
@@ -339,7 +353,6 @@ TEST(Runner, ResultsInSubmissionOrderWithDerivedSeeds)
     ASSERT_EQ(results.size(), 6u);
     for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(results[i].label, "job" + std::to_string(i));
-        EXPECT_EQ(results[i].seed, deriveJobSeed(99, i));
         EXPECT_TRUE(results[i].result.completed);
         EXPECT_GE(results[i].wallSeconds, 0.0);
     }

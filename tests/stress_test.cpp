@@ -6,9 +6,9 @@
  *    with auditing and the watchdog armed; every run must either
  *    complete or stop at the cycle cap, with zero invariant
  *    violations and zero watchdog trips;
- *  - kernel-text fuzzing: corrupted serializations must either parse
- *    or throw a typed KernelError — never crash, never mis-execute
- *    silently.
+ *  - kernel-text fuzzing: edited and corrupted kernel texts must
+ *    either throw a typed KernelError or parse and simulate — never
+ *    crash.
  *
  * The generator draws from a private std::mt19937_64 with a fixed
  * seed, so a failure reproduces exactly and CI can bisect it.
@@ -18,6 +18,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -29,7 +30,6 @@
 #include "sim/config_registry.hpp"
 #include "sim/gpu.hpp"
 #include "sim_error_matchers.hpp"
-#include "workloads/workload.hpp"
 
 namespace apres {
 namespace {
@@ -188,18 +188,81 @@ TEST(Stress, RandomKernelsUnderAuditAndWatchdog)
 
 TEST(Stress, KernelTextFuzzParsesOrThrowsTyped)
 {
-    // Start from a real serialized workload and inject random single
-    // character corruptions plus random line shuffles/truncations.
-    std::ostringstream oss;
-    writeKernelText(makeWorkload("NW", 0.05).kernel, oss);
-    const std::string clean = oss.str();
-    ASSERT_FALSE(clean.empty());
+    // Start from a kernel using every generator kind and directive —
+    // irregular and zipf included, whose sizes and sharing degrees are
+    // divisors — then edit its values and corrupt its characters. A
+    // text that parses is also simulated, so a value the parser lets
+    // through cannot crash the engine either.
+    const std::string clean =
+        "kernel fuzz 8\n"
+        "gen 0 irregular base=4096 lines=64 sharewarps=2 shareiters=4 "
+        "seed=7 lag=1\n"
+        "gen 1 zipf base=1048576 lines=512 alpha=1.5 seed=9\n"
+        "gen 2 window base=2097152 footprint=8192 iter=128 skew=256 sm=0\n"
+        "gen 3 strided base=4194304 warp=1024 iter=49152 sm=0\n"
+        "gen 4 uniform addr=65536\n"
+        "gen 5 irregular base=8388608 lines=128 seed=3\n"
+        "label head\n"
+        "load r0 pc=0x100 gen=0 lanestride=8\n"
+        "alu r1 r0 lat=8\n"
+        "load r2 gen=1 lanes=16 dep=r1\n"
+        "sload r3 gen=4 lanestride=4\n"
+        "load r4 gen=2\n"
+        "sfu r5 r2 r4 lat=20\n"
+        "barrier\n"
+        "load r6 gen=3 dep=r5\n"
+        "store gen=5 src=r6\n"
+        "loop head\n";
+    GpuConfig cfg;
+    cfg.numSms = 1;
+    cfg.sm.warpsPerSm = 4;
+    cfg.sm.warpsPerBlock = 4;
+    cfg.sm.jobsPerWarp = 1;
+    cfg.maxCycles = 20'000; // the clean kernel drains in ~8.4K
+    const Kernel clean_kernel = parseKernelText(clean);
+    ASSERT_TRUE(Gpu(cfg, clean_kernel).run().completed);
 
+    // A text either fails as a typed KernelError or parses and then
+    // runs to completion or to the cycle cap. Anything else (SIGFPE,
+    // segfault, std::bad_alloc, assert) fails by crashing the binary.
+    int simulated = 0;
+    const auto parseAndRun = [&](const std::string& text) {
+        std::optional<Kernel> kernel;
+        try {
+            kernel.emplace(parseKernelText(text));
+        } catch (const SimError& e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::kKernel) << e.what();
+            return;
+        }
+        EXPECT_GT(Gpu(cfg, *kernel).run().cycles, 0u) << text;
+        ++simulated;
+    };
+
+    // Every attribute value in turn, replaced by every edge case: zero,
+    // wrap-around, octal and hex look-alikes, int and int64 overflow,
+    // non-numbers.
+    const std::vector<std::string> edge_values = {
+        "0", "1", "-1", "010", "0x10", "0x", "+1", "1e3", "4096",
+        "2147483648", "9223372036854775808", "18446744073709551615",
+        "99999999999999999999", "abc", ""};
+    for (std::size_t eq = clean.find('='); eq != std::string::npos;
+         eq = clean.find('=', eq + 1)) {
+        const std::size_t end = clean.find_first_of(" \n", eq);
+        for (const std::string& value : edge_values) {
+            std::string text = clean;
+            text.replace(eq + 1, end - eq - 1, value);
+            parseAndRun(text);
+        }
+    }
+    // Many edits are legal (`lag=0`, `alpha=-1`, `iter=010`...): the
+    // simulation path must stay exercised.
+    EXPECT_GT(simulated, 100);
+
+    // Random character overwrites, truncations and duplicated chunks.
     std::mt19937_64 rng(kStressSeed ^ 0xF00D);
     std::uniform_int_distribution<std::size_t> pos(0, clean.size() - 1);
     std::uniform_int_distribution<int> printable(32, 126);
     std::uniform_int_distribution<int> edits(1, 4);
-
     for (int i = 0; i < 200; ++i) {
         std::string text = clean;
         const int n = edits(rng);
@@ -219,17 +282,8 @@ TEST(Stress, KernelTextFuzzParsesOrThrowsTyped)
                 break;
             }
         }
-        try {
-            const Kernel k = parseKernelText(text);
-            // Parsed: the kernel must at least be structurally sound
-            // enough to describe itself.
-            EXPECT_FALSE(k.name().empty());
-        } catch (const SimError& e) {
-            EXPECT_EQ(e.kind(), SimErrorKind::kKernel)
-                << "iteration " << i << ": " << e.what();
-        }
-        // Anything else (segfault, std::bad_alloc, assert) fails the
-        // test by crashing the binary.
+        SCOPED_TRACE("iteration " + std::to_string(i));
+        parseAndRun(text);
     }
 }
 

@@ -314,8 +314,9 @@ TEST(Trace, IdenticalAcrossParallelSweepJobs)
 {
     // The acceptance bar for golden traces: a --jobs parallel sweep
     // yields byte-identical traces to the sequential sweep, per job
-    // (derived per-job seeds are a pure function of the job index, so
-    // slot i is comparable across thread counts).
+    // (each job runs its config exactly as submitted and results come
+    // back in submission order, so slot i is comparable across thread
+    // counts).
     const auto kernel =
         std::make_shared<const Kernel>(makeWorkload("KM", 0.02).kernel);
 
