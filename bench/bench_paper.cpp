@@ -15,26 +15,86 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
+#include <iostream>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "apres/hardware_cost.hpp"
-#include "bench_util.hpp"
 #include "common/log.hpp"
 #include "common/parse.hpp"
 #include "sim/config_registry.hpp"
+#include "sim/gpu.hpp"
 #include "sim/runner.hpp"
 #include "workloads/characterize.hpp"
+#include "workloads/workload.hpp"
 
 using namespace apres;
-using namespace apres::bench;
 
 namespace {
+
+/**
+ * Trip-count multiplier from APRES_BENCH_SCALE. Non-numeric, zero,
+ * negative or otherwise unusable values are rejected with a warning
+ * and fall back to the default of 1.0.
+ */
+double
+benchScale()
+{
+    constexpr double kDefault = 1.0;
+    const char* text = std::getenv("APRES_BENCH_SCALE");
+    if (text == nullptr || *text == '\0')
+        return kDefault;
+    double parsed = 0.0;
+    if (!parseDoubleStrict(text, &parsed) || parsed <= 0.0) {
+        logWarn("ignoring APRES_BENCH_SCALE=\"", text,
+                "\" (want a positive number); using ", kDefault);
+        return kDefault;
+    }
+    return parsed;
+}
+
+/** Geometric mean; empty input yields 1. */
+double
+geomean(const std::vector<double>& values)
+{
+    if (values.empty())
+        return 1.0;
+    double log_sum = 0.0;
+    for (const double v : values)
+        log_sum += std::log(v);
+    return std::exp(log_sum / static_cast<double>(values.size()));
+}
+
+/** Print a table header: first column wide, rest fixed width. */
+void
+printHeader(const std::string& first, const std::vector<std::string>& columns)
+{
+    std::cout << std::left << std::setw(8) << first << std::right;
+    for (const std::string& c : columns)
+        std::cout << std::setw(12) << c;
+    std::cout << '\n';
+}
+
+/** Print one row of doubles with three decimals. */
+void
+printRow(const std::string& first, const std::vector<double>& values)
+{
+    std::cout << std::left << std::setw(8) << first << std::right
+              << std::fixed << std::setprecision(3);
+    for (const double v : values)
+        std::cout << std::setw(12) << v;
+    std::cout << '\n';
+}
 
 /** One simulation: an app under one semantic configuration. */
 struct Cell
@@ -132,7 +192,8 @@ class Cells
         if (added) {
             auto& workload = workloads_[app];
             if (!workload)
-                workload = loadWorkload(app, scale_);
+                workload = std::make_shared<const Workload>(
+                    makeWorkload(app, scale_));
             cells_.push_back({workload, config, app + "/" + label});
         }
         cells_[it->second].harvestPerPc |= per_pc;
@@ -148,7 +209,10 @@ class Cells
     {
         SweepRunner runner(options);
         for (Cell& cell : cells_) {
-            SweepJob job{cell.label, cell.config, kernelOf(cell.workload), {}};
+            // Aliasing handle: shares ownership of the workload, points
+            // at its kernel.
+            SweepJob job{cell.label, cell.config,
+                         {cell.workload, &cell.workload->kernel}, {}};
             if (cell.harvestPerPc) {
                 // Worker thread; writes only this cell's slot.
                 job.inspect = [&per_pc = cell.perPc,

@@ -1,8 +1,7 @@
 /**
  * @file
  * Deterministic pseudo-random number generation for the exploration
- * campaign (kernel-signature generation and mutation), the
- * microbenchmarks and the tests.
+ * campaign (kernel-signature generation and mutation) and the tests.
  *
  * The simulator itself draws no random numbers: a simulation is a pure
  * function of its configuration and kernel, the irregular/zipf address

@@ -6,8 +6,6 @@
 #include "lsu.hpp"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
@@ -17,9 +15,7 @@ namespace apres {
 Lsu::Lsu(SmId sm, const LsuConfig& config, LsuOwner& owner_ref, Cache& l1_ref,
          MemorySystem& memsys_ref)
     : smId(sm), cfg(config), owner(owner_ref), l1(l1_ref),
-      memsys(memsys_ref), coalescer(l1_ref.config().lineSize),
-      envTrace_(std::getenv("APRES_TRACE") != nullptr),
-      observing_(envTrace_)
+      memsys(memsys_ref), coalescer(l1_ref.config().lineSize)
 {
     assert(cfg.queueCapacity >= 1);
     assert(cfg.linesPerCycle >= 1);
@@ -165,14 +161,6 @@ Lsu::processLine(Op& op, Cycle now)
             tracer_->record(smId, TraceEventType::kMshrMerge, now, op.pc,
                             op.warp, line);
         }
-    }
-
-    // Optional access trace for debugging (APRES_TRACE=1, SM 0 only).
-    if (kObserve && envTrace_ && op.next == 0 && smId == 0) {
-        std::fprintf(stderr, "%llu pc=%x w=%d addr=%llx %s\n",
-                     static_cast<unsigned long long>(now), op.pc, op.warp,
-                     static_cast<unsigned long long>(op.baseAddr),
-                     outcome == AccessOutcome::kHit ? "H" : "M");
     }
 
     // The first (lowest-lane) line's outcome is the load's result as

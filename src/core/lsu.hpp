@@ -162,8 +162,7 @@ class Lsu
     {
         tracer_ = tracer;
         metrics_ = metrics;
-        observing_ = tracer_ != nullptr || metrics_ != nullptr ||
-            envTrace_;
+        observing_ = tracer_ != nullptr || metrics_ != nullptr;
     }
 
     /** Counters. */
@@ -195,9 +194,9 @@ class Lsu
     void completeOne(std::uint64_t token, Cycle now);
     /**
      * Access the next line of @p op. Templating on the observation
-     * sinks compiles every tracer/metrics/env-trace branch out of the
+     * sinks compiles every tracer/metrics branch out of the
      * <false> instantiation — the one the hot measurement path runs —
-     * instead of re-testing three null guards per line access.
+     * instead of re-testing both null guards per line access.
      */
     template <bool kObserve> bool processLine(Op& op, Cycle now);
     /** The op-walk half of tick(), dispatched once per call. */
@@ -225,7 +224,6 @@ class Lsu
     LsuStats stats_;
     Tracer* tracer_ = nullptr;
     MetricsRegistry* metrics_ = nullptr;
-    bool envTrace_ = false;  ///< APRES_TRACE debug stream requested
     bool observing_ = false; ///< any sink above is active
 };
 

@@ -15,9 +15,6 @@
  *    cycles — arrival order is completion order and a FIFO ring
  *    replaces the binary heap (O(1) push/pop, no sift, contiguous
  *    memory).
- *
- * micro_structures.cpp benchmarks each against the container it
- * replaced.
  */
 
 #ifndef APRES_CORE_LSU_STRUCTURES_HPP

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "common/bitutils.hpp"
-#include "common/profile.hpp"
 #include "common/trace.hpp"
 #include "core/shared_memory.hpp"
 
@@ -336,7 +335,6 @@ Sm::issue(WarpId warp_id, Cycle now)
 bool
 Sm::tick(Cycle now)
 {
-    prof::Scope profile(prof::Phase::kIssue);
     now_ = now;
     ++stats_.cycles;
 

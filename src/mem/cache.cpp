@@ -11,7 +11,6 @@
 
 #include "common/bitutils.hpp"
 #include "common/metrics.hpp"
-#include "common/profile.hpp"
 
 namespace apres {
 
@@ -261,7 +260,6 @@ Cache::accessImpl(const MemRequest& req)
 AccessOutcome
 Cache::access(const MemRequest& req)
 {
-    prof::Scope profile(prof::Phase::kCache);
     // One dispatch on the sink hoists every per-access metrics branch
     // into dead code of the <false> instantiation.
     return metrics_ ? accessImpl<true>(req) : accessImpl<false>(req);
@@ -310,7 +308,6 @@ Cache::storeAccess(const MemRequest& req)
 Cache::FillResult
 Cache::fill(Addr line_addr)
 {
-    prof::Scope profile(prof::Phase::kCache);
     FillResult result;
     Cycle pf_issued = 0;
     if (MshrEntry* entry = mshrs.find(line_addr)) {

@@ -7,8 +7,6 @@
 
 #include <cassert>
 
-#include "common/profile.hpp"
-
 namespace apres {
 
 DramPartition::DramPartition(const DramConfig& config) : cfg(config)
@@ -46,7 +44,6 @@ DramPartition::serviceCost(Addr line_addr)
 Cycle
 DramPartition::schedule(Cycle now, Addr line_addr)
 {
-    prof::Scope profile(prof::Phase::kDram);
     const Cycle start = now > nextFree ? now : nextFree;
     nextFree = start + serviceCost(line_addr);
     ++stats_.requests;

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "common/log.hpp"
-#include "common/profile.hpp"
 #include "common/trace.hpp"
 #include "isa/address_gen.hpp" // mix64
 
@@ -97,7 +96,6 @@ MemorySystem::submitWrite(const MemRequest& req, Cycle now)
 void
 MemorySystem::drainStaged()
 {
-    prof::Scope profile(prof::Phase::kDrain);
     // Merge the per-SM queues into canonical order: cycle ascending,
     // then SM ascending, then per-SM program order. Each queue is
     // already cycle-ordered (an SM submits monotonically), so a k-way

@@ -42,14 +42,6 @@ CcwsScheduler::onEviction(Addr line_addr, const WarpMask& toucher_mask)
         if (static_cast<int>(vta.size()) > cfg.vtaEntries)
             vta.pop_front();
     });
-    if (cfg.sharedVta && toucher_mask.any() &&
-        sharedVtaSet.insert(line_addr).second) {
-        sharedVtaFifo.push_back(line_addr);
-        if (static_cast<int>(sharedVtaFifo.size()) > cfg.sharedVtaEntries) {
-            sharedVtaSet.erase(sharedVtaFifo.front());
-            sharedVtaFifo.pop_front();
-        }
-    }
 }
 
 void
@@ -62,21 +54,6 @@ CcwsScheduler::notifyAccessResult(const LoadAccessInfo& info)
     if (it != vta.end()) {
         vta.erase(it);
         bump(info.warp);
-        return;
-    }
-    if (cfg.sharedVta) {
-        const auto shared_it = sharedVtaSet.find(info.baseLineAddr);
-        if (shared_it != sharedVtaSet.end()) {
-            // Inter-warp lost locality: any warp would have hit had
-            // the line survived.
-            sharedVtaSet.erase(shared_it);
-            const auto fifo_it = std::find(sharedVtaFifo.begin(),
-                                           sharedVtaFifo.end(),
-                                           info.baseLineAddr);
-            if (fifo_it != sharedVtaFifo.end())
-                sharedVtaFifo.erase(fifo_it);
-            bump(info.warp);
-        }
     }
 }
 

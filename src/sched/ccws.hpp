@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "common/warp_mask.hpp"
@@ -33,15 +32,6 @@ namespace apres {
 struct CcwsConfig
 {
     int vtaEntries = 32;      ///< victim tags per warp
-    /**
-     * Also probe a shared (SM-wide) victim tag array. Detects lost
-     * *inter-warp* locality — a line one warp fetched, another warp
-     * re-misses after eviction — which per-warp VTAs are blind to.
-     * GPU working sets are often shared between warps (Section III-B),
-     * so throttling should react to both flavours.
-     */
-    bool sharedVta = false;
-    int sharedVtaEntries = 256; ///< tags in the shared array
     int scoreBonus = 96;      ///< score added per lost-locality event
     int scoreCap = 288;       ///< per-warp score ceiling (anti-windup)
     int decayPeriod = 32;     ///< cycles per unit of linear score decay
@@ -91,8 +81,6 @@ class CcwsScheduler final : public Scheduler
     CcwsConfig cfg;
     SmContext* sm = nullptr;
     std::vector<std::deque<Addr>> vtas;      // per-warp victim tags
-    std::deque<Addr> sharedVtaFifo;          // shared victim tags (FIFO)
-    std::unordered_set<Addr> sharedVtaSet;   // membership index
     std::vector<std::int64_t> scores;        // per-warp lost locality
     std::vector<WarpId> eligibleScratch;
     WarpId greedyWarp = kInvalidWarp;

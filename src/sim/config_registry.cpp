@@ -330,8 +330,6 @@ ConfigRegistry::ConfigRegistry(GpuConfig& c)
            100'000'000);
 
     addInt("ccws.vtaEntries", c.ccws.vtaEntries, 1);
-    addBool("ccws.sharedVta", c.ccws.sharedVta);
-    addInt("ccws.sharedVtaEntries", c.ccws.sharedVtaEntries, 1);
     addInt("ccws.scoreBonus", c.ccws.scoreBonus, 0);
     addInt("ccws.scoreCap", c.ccws.scoreCap, 1);
     addInt("ccws.decayPeriod", c.ccws.decayPeriod, 1);

@@ -20,7 +20,6 @@
 #include <thread>
 
 #include "common/log.hpp"
-#include "common/profile.hpp"
 #include "common/sim_error.hpp"
 #include "sim/auditor.hpp"
 #include "sim/config_registry.hpp"
@@ -216,7 +215,6 @@ class SpinBarrier
     void
     arriveAndWait()
     {
-        prof::Scope profile(prof::Phase::kBarrier);
         const std::uint64_t gen = generation_.load(std::memory_order_acquire);
         if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             parties_) {

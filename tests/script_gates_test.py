@@ -11,13 +11,6 @@ Three modes, registered as separate ctest entries so failures localize:
               golden suite exists to catch — or that the regen script
               writes something other than what the tests compare.
 
-  throughput  scripts/check_throughput.py must accept a healthy
-              synthetic results/baseline pair (exit 0) and reject a
-              doctored one: a throughput regression below the floor
-              and an engine-stats divergence must both exit non-zero.
-              A gate that silently passes regressions is worse than no
-              gate.
-
   paper       scripts/check_paper.py must accept a synthetic
               bench_paper output on which every paper claim holds,
               and reject it with each claim flipped in turn, naming
@@ -29,8 +22,7 @@ Three modes, registered as separate ctest entries so failures localize:
               missing pair, a zero IPC, a doctored speedup and a warm
               rerun that simulated.
 
-usage: script_gates_test.py REPO_ROOT BUILD_DIR
-           {regen|throughput|paper|explore}
+usage: script_gates_test.py REPO_ROOT BUILD_DIR {regen|paper|explore}
 """
 
 import filecmp
@@ -87,63 +79,6 @@ def run_regen(repo_root: str, build_dir: str) -> int:
             print(f"ok: run {attempt} reproduced "
                   f"{len(committed)} golden files exactly")
     return 0
-
-
-def run_throughput(repo_root: str) -> int:
-    script = os.path.join(repo_root, "scripts", "check_throughput.py")
-    healthy = {
-        "hwThreads": 8,
-        "scenarios": [
-            {
-                "name": "KM-fullchip",
-                "statsIdentical": True,
-                "ffCyclesPerSec": 1_000_000.0,
-                "parCyclesPerSec": 1_500_000.0,
-                "speedup": 4.0,
-                "parSpeedup": 1.5,
-                "shards": 4,
-            }
-        ],
-    }
-    baseline = {
-        "scenarios": {"KM-fullchip": 1_000_000.0},
-        "parallelScenarios": {"KM-fullchip": 1_400_000.0},
-        "parSpeedupFloors": {"KM-fullchip": 1.0},
-    }
-
-    def check(label, results, expect_failure):
-        with tempfile.TemporaryDirectory(prefix="apres_gate_") as d:
-            rpath = os.path.join(d, "results.json")
-            bpath = os.path.join(d, "baseline.json")
-            with open(rpath, "w") as f:
-                json.dump(results, f)
-            with open(bpath, "w") as f:
-                json.dump(baseline, f)
-            result = subprocess.run(
-                [sys.executable, script, rpath, bpath],
-                capture_output=True,
-                text=True,
-            )
-        failed = result.returncode != 0
-        if failed != expect_failure:
-            want = "non-zero" if expect_failure else "zero"
-            print(f"FAIL: {label}: expected {want} exit, got "
-                  f"{result.returncode}\n{result.stdout}{result.stderr}")
-            return 1
-        print(f"ok: {label}: exit {result.returncode} as expected")
-        return 0
-
-    regressed = json.loads(json.dumps(healthy))
-    regressed["scenarios"][0]["ffCyclesPerSec"] = 100_000.0  # −90%
-    diverged = json.loads(json.dumps(healthy))
-    diverged["scenarios"][0]["statsIdentical"] = False
-
-    rc = check("healthy results pass", healthy, expect_failure=False)
-    rc |= check("doctored throughput regression trips the gate",
-                regressed, expect_failure=True)
-    rc |= check("engine-stats divergence trips the gate",
-                diverged, expect_failure=True)
-    return rc
 
 
 def paper_output(flips):
@@ -317,7 +252,7 @@ def run_explore(repo_root: str) -> int:
 
 
 def main() -> int:
-    modes = ("regen", "throughput", "paper", "explore")
+    modes = ("regen", "paper", "explore")
     if len(sys.argv) != 4 or sys.argv[3] not in modes:
         print(__doc__, file=sys.stderr)
         return 2
@@ -326,9 +261,7 @@ def main() -> int:
         return run_regen(repo_root, build_dir)
     if mode == "paper":
         return run_paper(repo_root)
-    if mode == "explore":
-        return run_explore(repo_root)
-    return run_throughput(repo_root)
+    return run_explore(repo_root)
 
 
 if __name__ == "__main__":

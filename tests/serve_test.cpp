@@ -225,7 +225,7 @@ TEST(CacheKey, GoldenKeysArePinned)
         EXPECT_EQ(computeCacheKey("apres-results-v1",
                                   kernelFingerprint(km),
                                   semanticSnapshot()),
-                  "96f657c080e49586628d11e1a663a0f2");
+                  "3c24d54446184fe6e1465d436456a7c9");
     }
     {
         // Config 2: the APRES stack with a 64 KiB L1 and a pinned
@@ -243,7 +243,7 @@ TEST(CacheKey, GoldenKeysArePinned)
                                       {"l1.sizeBytes", "65536"},
                                       {"seed", "12345"},
                                   })),
-                  "7086126018b80f8546648932dff9d5cf");
+                  "8df83e6d433d80998781537b07e7164a");
     }
 }
 

@@ -16,13 +16,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/trace.hpp"
+#include "isa/address_gen.hpp"
+#include "isa/kernel.hpp"
 #include "sim/gpu.hpp"
 #include "sim/runner.hpp"
 #include "workloads/workload.hpp"
@@ -308,6 +313,94 @@ TEST(Trace, FastForwardEmitsSameEventSequenceAsNaive)
     ASSERT_NE(a.tracer(), nullptr);
     ASSERT_NE(b.tracer(), nullptr);
     EXPECT_EQ(a.tracer()->eventSummary(), b.tracer()->eventSummary());
+}
+
+/**
+ * The SLD-style streaming kernel: every iteration loads one fresh,
+ * perfectly coalesced 128 B line (warps walk disjoint 1 MB
+ * macro-blocks sequentially) and feeds it through a short dependent
+ * ALU chain. The loop-carried WAW on the load destination caps each
+ * warp at one outstanding load, so at 4 warps/SM the machine is
+ * latency-bound: SMs spend most cycles with every warp stalled on
+ * DRAM.
+ */
+Kernel
+makeSldStreamKernel(std::uint64_t trip_count)
+{
+    KernelBuilder b("SLD-stream");
+    const int v = b.load(
+        std::make_unique<StridedGen>(Addr{0x1000'0000}, /*warp_stride=*/
+                                     std::int64_t{1} << 20,
+                                     /*iter_stride=*/128));
+    b.alu({v}, /*count=*/2);
+    return b.build(trip_count);
+}
+
+/** ff-idle-span events of one lane in a Chrome trace document. */
+struct IdleSpans
+{
+    std::uint64_t count = 0;
+    std::uint64_t cycles = 0; ///< summed span durations
+};
+
+IdleSpans
+idleSpansOnLane(const std::string& json, int lane)
+{
+    // Both fields precede the event's nested "args" object.
+    const auto field = [&json](std::size_t event, const std::string& key) {
+        const std::string tag = "\"" + key + "\": ";
+        const std::size_t at = json.find(tag, event);
+        if (at == std::string::npos)
+            throw std::out_of_range("span without \"" + key + "\"");
+        return std::stoull(json.substr(at + tag.size(), 20));
+    };
+    IdleSpans spans;
+    const std::string name = "\"ff-idle-span\"";
+    for (std::size_t at = json.find(name); at != std::string::npos;
+         at = json.find(name, at + 1)) {
+        if (field(at, "pid") != static_cast<std::uint64_t>(lane))
+            continue;
+        ++spans.count;
+        spans.cycles += field(at, "dur");
+    }
+    return spans;
+}
+
+TEST(Trace, FastForwardJumpsMostOfALatencyBoundRun)
+{
+    // On a latency-bound stream (15 SMs x 4 warps, every warp waiting
+    // on DRAM most of the time) the global jump must skip at least 90%
+    // of simulated time. The equivalence suites would still pass if
+    // the jump never fired.
+    const Kernel kernel = makeSldStreamKernel(/*trip_count=*/200);
+    GpuConfig cfg;
+    cfg.sm.warpsPerSm = 4;
+    cfg.sm.warpsPerBlock = 4;
+    cfg.trace = true;
+    // SM lanes may drop their oldest events; the engine lane must
+    // keep every span (checked below), and the document stays small.
+    cfg.traceBufferEvents = 8192;
+
+    for (const bool ff : {true, false}) {
+        cfg.fastForward = ff;
+        Gpu gpu(cfg, kernel);
+        const RunResult r = gpu.run();
+        ASSERT_TRUE(r.completed);
+        std::ostringstream os;
+        gpu.writeTrace(os);
+        const IdleSpans spans =
+            idleSpansOnLane(os.str(), gpu.tracer()->engineLane());
+        if (!ff) {
+            EXPECT_EQ(spans.count, 0u) << "the naive engine jumped";
+            continue;
+        }
+        ASSERT_LT(spans.count, cfg.traceBufferEvents)
+            << "engine lane wrapped; spans were lost";
+        EXPECT_GE(static_cast<double>(spans.cycles),
+                  0.9 * static_cast<double>(r.cycles))
+            << spans.count << " spans cover " << spans.cycles << " of "
+            << r.cycles << " cycles";
+    }
 }
 
 TEST(Trace, IdenticalAcrossParallelSweepJobs)
