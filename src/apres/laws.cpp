@@ -5,7 +5,6 @@
 
 #include "laws.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -20,9 +19,9 @@ LawsScheduler::attach(SmContext& sm_ref)
 {
     sm = &sm_ref;
     llt = LastLoadTable(sm->numWarps());
-    queue.clear();
+    queue.reset(sm->numWarps());
     for (int w = 0; w < sm->numWarps(); ++w)
-        queue.push_back(w);
+        queue.pushBack(w);
     groupFormedAt_.assign(static_cast<std::size_t>(sm->numWarps()), 0);
 }
 
@@ -30,14 +29,8 @@ WarpId
 LawsScheduler::pick(Cycle now, const std::vector<WarpId>& ready)
 {
     (void)now;
-    if (ready.empty())
-        return kInvalidWarp;
     // Greedy: the first ready warp in queue priority order.
-    for (const WarpId w : queue) {
-        if (std::find(ready.begin(), ready.end(), w) != ready.end())
-            return w;
-    }
-    return kInvalidWarp;
+    return queue.first(ready);
 }
 
 void
@@ -79,49 +72,18 @@ LawsScheduler::moveToHead(const WarpMask& member_mask)
     // hit on every execution the same group would otherwise be
     // re-promoted at every access, and the constant reordering only
     // perturbs the pipeline without changing which warps lead.
+    // The count includes finished members, which are no longer queued:
+    // such a group never counts as leading.
     const int member_count = member_mask.count();
-    int position = 0;
     int found_in_head = 0;
-    for (const WarpId w : queue) {
-        if (position >= 2 * member_count)
-            break;
-        if (member_mask.test(w))
+    member_mask.forEachSet([&](WarpId w) {
+        if (queue.rank(w) < 2 * member_count)
             ++found_in_head;
-        ++position;
-    }
+    });
     if (found_in_head == member_count)
         return;
-
-    std::vector<WarpId> promoted;
-    promoted.reserve(static_cast<std::size_t>(member_count));
-    for (auto it = queue.begin(); it != queue.end();) {
-        if (member_mask.test(*it)) {
-            promoted.push_back(*it);
-            it = queue.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    stats_.warpsPrioritized += promoted.size();
-    queue.insert(queue.begin(), promoted.begin(), promoted.end());
-}
-
-void
-LawsScheduler::moveToTail(const WarpMask& member_mask)
-{
-    if (member_mask.none())
-        return;
-    std::vector<WarpId> demoted;
-    demoted.reserve(static_cast<std::size_t>(member_mask.count()));
-    for (auto it = queue.begin(); it != queue.end();) {
-        if (member_mask.test(*it)) {
-            demoted.push_back(*it);
-            it = queue.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    queue.insert(queue.end(), demoted.begin(), demoted.end());
+    stats_.warpsPrioritized +=
+        static_cast<std::uint64_t>(queue.moveToHead(member_mask));
 }
 
 void
@@ -163,7 +125,7 @@ LawsScheduler::notifyAccessResult(const LoadAccessInfo& info)
                         static_cast<std::uint64_t>(members.count()));
     }
     if (cfg.demoteOnMiss)
-        moveToTail(members);
+        queue.moveToTail(members);
     pendingMiss.valid = true;
     pendingMiss.owner = info.warp;
     pendingMiss.pc = info.pc;
@@ -198,9 +160,7 @@ LawsScheduler::prioritizeWarps(const std::vector<WarpId>& warps)
 void
 LawsScheduler::notifyWarpFinished(WarpId warp)
 {
-    const auto it = std::find(queue.begin(), queue.end(), warp);
-    if (it != queue.end())
-        queue.erase(it);
+    queue.remove(warp);
 }
 
 void
@@ -208,16 +168,7 @@ LawsScheduler::notifyWarpRelaunched(WarpId warp)
 {
     // A refilled slot carries a fresh block: it rejoins at the tail,
     // like a newly launched warp.
-    const auto it = std::find(queue.begin(), queue.end(), warp);
-    if (it != queue.end())
-        queue.erase(it);
-    queue.push_back(warp);
-}
-
-std::vector<WarpId>
-LawsScheduler::queueOrder() const
-{
-    return {queue.begin(), queue.end()};
+    queue.pushBack(warp);
 }
 
 void

@@ -24,7 +24,6 @@
 #define APRES_APRES_LAWS_HPP
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "apres/llt.hpp"
@@ -32,6 +31,7 @@
 #include "common/warp_mask.hpp"
 #include "core/scheduler.hpp"
 #include "core/sm.hpp"
+#include "core/warp_order.hpp"
 
 namespace apres {
 
@@ -100,7 +100,10 @@ class LawsScheduler final : public Scheduler
     void prioritizeWarps(const std::vector<WarpId>& warps);
 
     /** Current queue order, head first (for tests). */
-    std::vector<WarpId> queueOrder() const;
+    const std::vector<WarpId>& queueOrder() const { return queue.warps(); }
+
+    /** Ranked queue for the invariant auditor. */
+    const WarpOrder& queueForAudit() const { return queue; }
 
     /** Counters. */
     const LawsStats& stats() const { return stats_; }
@@ -117,13 +120,18 @@ class LawsScheduler final : public Scheduler
      */
     WarpGroupTable& wgtForTest() { return wgt; }
 
+    /**
+     * TEST HOOK: mutable queue for fault-injection tests. Never call
+     * outside tests.
+     */
+    WarpOrder& queueForTest() { return queue; }
+
   private:
     void moveToHead(const WarpMask& member_mask);
-    void moveToTail(const WarpMask& member_mask);
 
     LawsConfig cfg;
     SmContext* sm = nullptr;
-    std::deque<WarpId> queue;      ///< priority order, head = highest
+    WarpOrder queue;               ///< unfinished warps, head = highest
     LastLoadTable llt{0};
     WarpGroupTable wgt;
     PendingGroupMiss pendingMiss;

@@ -9,6 +9,15 @@
  * to maintain internal state: instruction issues, load issues (LAWS
  * group formation), and L1 access results (CCWS locality scoring, LAWS
  * hit/miss group prioritization).
+ *
+ * Warp lifecycle contract: the SM calls notifyWarpFinished() for every
+ * warp that finishes and notifyWarpRelaunched() for every change of a
+ * warp's ageStamp (a relaunch gives the newest stamp), right after the
+ * change. Schedulers may keep incremental state between picks that
+ * relies on this (the LAWS queue and the CCWS age order do), instead
+ * of re-deriving it from warpState() on every pick. A test that edits
+ * a warp's `finished` flag or `ageStamp` directly after attach() must
+ * make the same calls.
  */
 
 #ifndef APRES_CORE_SCHEDULER_HPP
@@ -87,12 +96,16 @@ class Scheduler
         (void)info;
     }
 
-    /** Called once when a warp executes kExit with no jobs left. */
+    /**
+     * Called once when a warp executes kExit with no jobs left, after
+     * its `finished` flag is set.
+     */
     virtual void notifyWarpFinished(WarpId warp) { (void)warp; }
 
     /**
      * Called when a finished warp's slot is refilled with a new block
-     * (job). The warp rejoins as the youngest.
+     * (job), after it received the newest ageStamp. The warp rejoins
+     * as the youngest.
      */
     virtual void notifyWarpRelaunched(WarpId warp) { (void)warp; }
 

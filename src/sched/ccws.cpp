@@ -25,8 +25,38 @@ CcwsScheduler::attach(SmContext& sm_ref)
     sm = &sm_ref;
     vtas.assign(static_cast<std::size_t>(sm->numWarps()), {});
     scores.assign(static_cast<std::size_t>(sm->numWarps()), 0);
+    // The age order is sorted once here; afterwards it changes only
+    // when a warp finishes or is relaunched with the newest stamp.
+    std::vector<WarpId> unfinished;
+    for (int w = 0; w < sm->numWarps(); ++w) {
+        if (!sm->warpState(w).finished)
+            unfinished.push_back(w);
+    }
+    std::stable_sort(unfinished.begin(), unfinished.end(),
+                     [this](WarpId a, WarpId b) {
+                         return sm->warpState(a).ageStamp <
+                             sm->warpState(b).ageStamp;
+                     });
+    ages.reset(sm->numWarps());
+    for (const WarpId w : unfinished)
+        ages.pushBack(w);
     sm->l1Mutable().setEvictionListener(
         [this](Addr line, const WarpMask& mask) { onEviction(line, mask); });
+}
+
+void
+CcwsScheduler::notifyWarpFinished(WarpId warp)
+{
+    ages.remove(warp);
+    if (warp == greedyWarp)
+        greedyWarp = kInvalidWarp;
+}
+
+void
+CcwsScheduler::notifyWarpRelaunched(WarpId warp)
+{
+    // The refilled slot has just received the newest age stamp.
+    ages.pushBack(warp);
 }
 
 void
@@ -109,43 +139,23 @@ CcwsScheduler::pick(Cycle now, const std::vector<WarpId>& ready)
         return kInvalidWarp;
 
     // Eligible warps: the `activeLimit()` oldest running warps by
-    // block launch order. Throttling suspends the youngest warps
-    // first, shrinking the combined working set.
+    // block launch order, i.e. those ranked below the limit in the age
+    // order. Throttling suspends the youngest warps first, shrinking
+    // the combined working set.
     const int limit = activeLimit();
-    eligibleScratch.clear();
-    for (int w = 0; w < sm->numWarps(); ++w) {
-        if (!sm->warpState(w).finished)
-            eligibleScratch.push_back(w);
-    }
-    std::sort(eligibleScratch.begin(), eligibleScratch.end(),
-              [this](WarpId a, WarpId b) {
-                  return sm->warpState(a).ageStamp <
-                      sm->warpState(b).ageStamp;
-              });
-    if (static_cast<int>(eligibleScratch.size()) > limit)
-        eligibleScratch.resize(static_cast<std::size_t>(limit));
-
-    const auto eligible = [this](WarpId w) {
-        return std::find(eligibleScratch.begin(), eligibleScratch.end(),
-                         w) != eligibleScratch.end();
-    };
 
     // Greedy-then-oldest among eligible warps.
-    if (greedyWarp != kInvalidWarp && eligible(greedyWarp)) {
+    if (ages.rank(greedyWarp) < limit) {
         for (const WarpId w : ready) {
             if (w == greedyWarp)
                 return w;
         }
     }
-    for (const WarpId candidate : eligibleScratch) {
-        if (std::find(ready.begin(), ready.end(), candidate) !=
-            ready.end()) {
-            greedyWarp = candidate;
-            return candidate;
-        }
-    }
-    // All ready warps are throttled: intentional stall.
-    return kInvalidWarp;
+    const WarpId oldest = ages.first(ready, limit);
+    // kInvalidWarp: all ready warps are throttled, an intentional stall.
+    if (oldest != kInvalidWarp)
+        greedyWarp = oldest;
+    return oldest;
 }
 
 void

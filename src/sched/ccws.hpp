@@ -25,6 +25,7 @@
 #include "common/warp_mask.hpp"
 #include "core/scheduler.hpp"
 #include "core/sm.hpp"
+#include "core/warp_order.hpp"
 
 namespace apres {
 
@@ -53,12 +54,9 @@ class CcwsScheduler final : public Scheduler
 
     void notifyAccessResult(const LoadAccessInfo& info) override;
 
-    void
-    notifyWarpFinished(WarpId warp) override
-    {
-        if (warp == greedyWarp)
-            greedyWarp = kInvalidWarp;
-    }
+    void notifyWarpFinished(WarpId warp) override;
+
+    void notifyWarpRelaunched(WarpId warp) override;
 
     const char* name() const override { return "CCWS"; }
 
@@ -73,6 +71,15 @@ class CcwsScheduler final : public Scheduler
     /** Lifetime count of lost-locality detections (for tests). */
     std::uint64_t lostLocalityEvents() const { return events; }
 
+    /** Age order for the invariant auditor. */
+    const WarpOrder& ageOrderForAudit() const { return ages; }
+
+    /**
+     * TEST HOOK: mutable age order for fault-injection tests. Never
+     * call outside tests.
+     */
+    WarpOrder& ageOrderForTest() { return ages; }
+
   private:
     void onEviction(Addr line_addr, const WarpMask& toucher_mask);
     void bump(WarpId warp);
@@ -82,7 +89,7 @@ class CcwsScheduler final : public Scheduler
     SmContext* sm = nullptr;
     std::vector<std::deque<Addr>> vtas;      // per-warp victim tags
     std::vector<std::int64_t> scores;        // per-warp lost locality
-    std::vector<WarpId> eligibleScratch;
+    WarpOrder ages; ///< unfinished warps, oldest ageStamp first
     WarpId greedyWarp = kInvalidWarp;
     Cycle lastDecay = 0;
     std::uint64_t events = 0;

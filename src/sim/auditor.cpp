@@ -13,8 +13,50 @@
 #include "apres/laws.hpp"
 #include "apres/sap.hpp"
 #include "common/sim_error.hpp"
+#include "sched/ccws.hpp"
 
 namespace apres {
+
+namespace {
+
+/**
+ * Re-derive a scheduler's ranked warp order: in-range IDs, each queued
+ * once, every queued warp's rank equal to its position and every other
+ * warp unranked.
+ */
+void
+auditWarpOrder(std::ostringstream& out, std::size_t s, const char* what,
+               const WarpOrder& order, int num_warps)
+{
+    std::vector<bool> queued(static_cast<std::size_t>(num_warps), false);
+    const std::vector<WarpId>& warps = order.warps();
+    for (std::size_t p = 0; p < warps.size(); ++p) {
+        const WarpId w = warps[p];
+        if (w < 0 || w >= num_warps) {
+            out << "sm" << s << " " << what << " holds warp " << w
+                << " outside [0, " << num_warps << ")\n";
+        } else if (queued[static_cast<std::size_t>(w)]) {
+            out << "sm" << s << " " << what << " holds warp " << w
+                << " twice\n";
+        } else {
+            queued[static_cast<std::size_t>(w)] = true;
+            if (order.rank(w) != static_cast<int>(p)) {
+                out << "sm" << s << " " << what << " ranks warp " << w
+                    << " at " << order.rank(w) << ", queued at " << p
+                    << "\n";
+            }
+        }
+    }
+    for (int w = 0; w < num_warps; ++w) {
+        if (!queued[static_cast<std::size_t>(w)] &&
+            order.rank(w) != WarpOrder::kNotQueued) {
+            out << "sm" << s << " " << what << " ranks warp " << w
+                << " at " << order.rank(w) << " but does not queue it\n";
+        }
+    }
+}
+
+} // namespace
 
 Auditor::Auditor(const GpuConfig& config, const Kernel& kernel_ref,
                  const std::vector<std::unique_ptr<Sm>>& sms_ref,
@@ -41,18 +83,50 @@ Auditor::checkPolicyStructures() const
     }
 
     for (std::size_t s = 0; s < schedulers.size(); ++s) {
+        const Sm& sm = *sms[s];
+        const int num_warps = cfg.sm.warpsPerSm;
+
+        const auto* ccws =
+            dynamic_cast<const CcwsScheduler*>(schedulers[s].get());
+        if (ccws != nullptr) {
+            // Age order: exactly the unfinished warps, oldest ageStamp
+            // first (ties by warp ID, as attach() sorts them).
+            const WarpOrder& ages = ccws->ageOrderForAudit();
+            auditWarpOrder(out, s, "CCWS age order", ages, num_warps);
+            std::vector<WarpId> expected;
+            for (int w = 0; w < num_warps; ++w) {
+                if (!sm.warpState(w).finished)
+                    expected.push_back(w);
+            }
+            std::stable_sort(expected.begin(), expected.end(),
+                             [&sm](WarpId a, WarpId b) {
+                                 return sm.warpState(a).ageStamp <
+                                     sm.warpState(b).ageStamp;
+                             });
+            if (ages.warps() != expected) {
+                out << "sm" << s << " CCWS age order [";
+                for (const WarpId w : ages.warps())
+                    out << " " << w;
+                out << " ] is not the unfinished warps by ageStamp [";
+                for (const WarpId w : expected)
+                    out << " " << w;
+                out << " ]\n";
+            }
+        }
+
         const auto* laws =
             dynamic_cast<const LawsScheduler*>(schedulers[s].get());
         if (laws != nullptr) {
-            // Scheduling queue: valid IDs, no duplicates.
-            std::set<WarpId> seen;
-            for (const WarpId w : laws->queueOrder()) {
-                if (w < 0 || w >= cfg.sm.warpsPerSm) {
-                    out << "sm" << s << " LAWS queue holds warp " << w
-                        << " outside [0, " << cfg.sm.warpsPerSm << ")\n";
-                } else if (!seen.insert(w).second) {
-                    out << "sm" << s << " LAWS queue holds warp " << w
-                        << " twice\n";
+            // Scheduling queue: each unfinished warp exactly once.
+            const WarpOrder& queue = laws->queueForAudit();
+            auditWarpOrder(out, s, "LAWS queue", queue, num_warps);
+            for (int w = 0; w < num_warps; ++w) {
+                const bool queued = queue.rank(w) != WarpOrder::kNotQueued;
+                const bool finished = sm.warpState(w).finished;
+                if (queued == finished) {
+                    out << "sm" << s << " LAWS queue "
+                        << (finished ? "holds finished" : "misses unfinished")
+                        << " warp " << w << "\n";
                 }
             }
 

@@ -16,10 +16,13 @@
  *  - barriers: arrival counters match the parked warps, and a
  *    complete barrier has released;
  *  - L1 MSHRs pair one-to-one with in-flight MemorySystem reads;
- *  - LAWS (Section IV-A, Table II): scheduling queue is a permutation
- *    of valid warp IDs; WGT holds at most 3 entries whose owner and
- *    member bits fall inside the configured warp range; LLT has one
- *    entry per warp, each kInvalidPc or a static load PC;
+ *  - LAWS (Section IV-A, Table II): the scheduling queue holds each
+ *    unfinished warp exactly once, and each warp's rank equals its
+ *    position; WGT holds at most 3 entries whose owner and member bits
+ *    fall inside the configured warp range; LLT has one entry per
+ *    warp, each kInvalidPc or a static load PC;
+ *  - CCWS: the age order equals the unfinished warps sorted by
+ *    ageStamp, with every rank equal to its position;
  *  - SAP (Section IV-B, Table IV): PT holds at most ptEntries (10)
  *    valid entries keyed by static load PCs; WQ/DRQ peak occupancies
  *    stay within wqEntries (48) / drqEntries (32);

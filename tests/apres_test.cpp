@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <utility>
 
 #include "apres/hardware_cost.hpp"
 #include "apres/laws.hpp"
 #include "apres/sap.hpp"
+#include "common/rng.hpp"
 #include "fake_sm.hpp"
 
 namespace apres {
@@ -214,6 +217,236 @@ TEST(Laws, GroupCapLimitsMembership)
     const auto group = laws.takePendingGroupMiss(0, 0x20);
     ASSERT_TRUE(group.valid);
     EXPECT_LE(group.members.count(), 4);
+}
+
+/**
+ * The LAWS queue as it was kept before the ranked order: a deque whose
+ * group moves erase members one at a time and whose pick scans the
+ * queue for the first ready warp. Group formation uses the same LLT
+ * and WGT as the scheduler, with the default policy knobs.
+ */
+class DequeLaws
+{
+  public:
+    DequeLaws(int num_warps, int group_cap)
+        : numWarps(num_warps), groupCap(group_cap), llt(num_warps)
+    {
+        for (int w = 0; w < num_warps; ++w)
+            queue.push_back(w);
+    }
+
+    WarpId
+    pick(const std::vector<WarpId>& ready) const
+    {
+        for (const WarpId w : queue) {
+            if (std::find(ready.begin(), ready.end(), w) != ready.end())
+                return w;
+        }
+        return kInvalidWarp;
+    }
+
+    void
+    notifyLoadIssued(WarpId warp, Pc pc)
+    {
+        WarpMask members = llt.matchMask(llt.get(warp));
+        members.set(warp);
+        if (groupCap < numWarps && members.count() > groupCap) {
+            WarpMask trimmed;
+            int kept = 0;
+            members.forEachSet([&](WarpId w) {
+                if (kept < groupCap) {
+                    trimmed.set(w);
+                    ++kept;
+                }
+            });
+            members = trimmed;
+        }
+        wgt.insert(warp, pc, members);
+        ++stats.groupsFormed;
+        llt.set(warp, pc);
+    }
+
+    void
+    notifyAccessResult(WarpId warp, Pc pc, bool hit)
+    {
+        const WarpMask members = wgt.take(warp, pc);
+        if (members.none())
+            return;
+        if (hit) {
+            ++stats.groupHits;
+            moveToHead(members);
+        } else {
+            ++stats.groupMisses;
+            moveToTail(members);
+        }
+    }
+
+    void
+    prioritizeWarps(const std::vector<WarpId>& warps)
+    {
+        WarpMask mask;
+        for (const WarpId w : warps)
+            mask.set(w);
+        stats.prefetchTargetPromotions += warps.size();
+        moveToHead(mask);
+    }
+
+    void
+    notifyWarpFinished(WarpId warp)
+    {
+        const auto it = std::find(queue.begin(), queue.end(), warp);
+        if (it != queue.end())
+            queue.erase(it);
+    }
+
+    void
+    notifyWarpRelaunched(WarpId warp)
+    {
+        notifyWarpFinished(warp);
+        queue.push_back(warp);
+    }
+
+    std::vector<WarpId> order() const { return {queue.begin(), queue.end()}; }
+
+    LawsStats stats;
+    int leadingGroupSkips = 0; ///< promotions skipped by the early exit
+
+  private:
+    void
+    moveToHead(const WarpMask& member_mask)
+    {
+        if (member_mask.none())
+            return;
+        const int member_count = member_mask.count();
+        int position = 0;
+        int found_in_head = 0;
+        for (const WarpId w : queue) {
+            if (position >= 2 * member_count)
+                break;
+            if (member_mask.test(w))
+                ++found_in_head;
+            ++position;
+        }
+        if (found_in_head == member_count) {
+            ++leadingGroupSkips;
+            return;
+        }
+        std::vector<WarpId> promoted;
+        for (auto it = queue.begin(); it != queue.end();) {
+            if (member_mask.test(*it)) {
+                promoted.push_back(*it);
+                it = queue.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        stats.warpsPrioritized += promoted.size();
+        queue.insert(queue.begin(), promoted.begin(), promoted.end());
+    }
+
+    void
+    moveToTail(const WarpMask& member_mask)
+    {
+        std::vector<WarpId> demoted;
+        for (auto it = queue.begin(); it != queue.end();) {
+            if (member_mask.test(*it)) {
+                demoted.push_back(*it);
+                it = queue.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        queue.insert(queue.end(), demoted.begin(), demoted.end());
+    }
+
+    int numWarps;
+    int groupCap;
+    LastLoadTable llt;
+    WarpGroupTable wgt;
+    std::deque<WarpId> queue;
+};
+
+TEST(Laws, RankedQueueMatchesDequeReference)
+{
+    constexpr int kWarps = 24;
+    LawsConfig cfg;
+    cfg.groupCap = 10; // exercises group trimming too
+    FakeSm sm(kWarps);
+    LawsScheduler laws(cfg);
+    laws.attach(sm);
+    DequeLaws ref(kWarps, cfg.groupCap);
+
+    Rng rng(16);
+    const Pc pcs[] = {0x10, 0x20, 0x30, 0x40};
+    std::deque<std::pair<WarpId, Pc>> recent_loads;
+    std::uint64_t stamp = kWarps; // FakeSm stamps warps 1..kWarps
+    int picks = 0;
+    for (int step = 0; step < 4000; ++step) {
+        std::vector<WarpId> live;
+        for (int w = 0; w < kWarps; ++w) {
+            if (!sm.warp(w).finished)
+                live.push_back(w);
+        }
+        const WarpId warp = live[rng.nextBounded(live.size())];
+        const std::uint64_t op = rng.nextBounded(100);
+        if (op < 30) {
+            const Pc pc = pcs[rng.nextBounded(4)];
+            laws.notifyLoadIssued(warp, pc, static_cast<Cycle>(step));
+            ref.notifyLoadIssued(warp, pc);
+            recent_loads.emplace_back(warp, pc);
+            if (recent_loads.size() > 6)
+                recent_loads.pop_front();
+        } else if (op < 55 && !recent_loads.empty()) {
+            const auto [owner, pc] =
+                recent_loads[rng.nextBounded(recent_loads.size())];
+            const bool hit = rng.nextBounded(2) == 0;
+            laws.notifyAccessResult(result(owner, pc, 0x1000, hit));
+            ref.notifyAccessResult(owner, pc, hit);
+        } else if (op < 65) {
+            // SAP targets may name finished warps: their LLT entries
+            // outlive them.
+            std::vector<WarpId> targets;
+            for (int w = 0; w < kWarps; ++w) {
+                if (rng.nextBounded(4) == 0)
+                    targets.push_back(w);
+            }
+            laws.prioritizeWarps(targets);
+            ref.prioritizeWarps(targets);
+        } else if (op < 67 && live.size() > 2) {
+            sm.warp(warp).finished = true;
+            laws.notifyWarpFinished(warp);
+            ref.notifyWarpFinished(warp);
+        } else if (op < 71) {
+            sm.warp(warp).ageStamp = ++stamp;
+            laws.notifyWarpRelaunched(warp);
+            ref.notifyWarpRelaunched(warp);
+        } else {
+            std::vector<WarpId> ready;
+            for (const WarpId w : live) {
+                if (rng.nextBounded(3) == 0)
+                    ready.push_back(w);
+            }
+            ASSERT_EQ(laws.pick(static_cast<Cycle>(step), ready),
+                      ref.pick(ready))
+                << "step " << step;
+            ++picks;
+        }
+        ASSERT_EQ(laws.queueOrder(), ref.order()) << "step " << step;
+    }
+
+    const LawsStats& got = laws.stats();
+    EXPECT_EQ(got.groupsFormed, ref.stats.groupsFormed);
+    EXPECT_EQ(got.groupHits, ref.stats.groupHits);
+    EXPECT_EQ(got.groupMisses, ref.stats.groupMisses);
+    EXPECT_EQ(got.warpsPrioritized, ref.stats.warpsPrioritized);
+    EXPECT_EQ(got.prefetchTargetPromotions,
+              ref.stats.prefetchTargetPromotions);
+    // The drive reached every path it is meant to compare.
+    EXPECT_GT(picks, 500);
+    EXPECT_GT(ref.stats.groupHits, 100u);
+    EXPECT_GT(ref.stats.groupMisses, 100u);
+    EXPECT_GT(ref.leadingGroupSkips, 0);
+    EXPECT_LT(laws.queueOrder().size(), static_cast<std::size_t>(kWarps));
 }
 
 /**

@@ -16,6 +16,7 @@
 #include "apres/sap.hpp"
 #include "isa/address_gen.hpp"
 #include "isa/kernel.hpp"
+#include "sched/ccws.hpp"
 #include "sim/gpu.hpp"
 #include "sim/policy_registry.hpp"
 #include "sim/runner.hpp"
@@ -79,6 +80,36 @@ TEST(Auditor, CorruptedWgtEntryIsDetected)
     e.members = WarpMask::ofWord(std::uint64_t{1} << 63);
 
     expectSimError(SimErrorKind::kInvariant, "invariant audit failed",
+                   [&] { gpu.auditNow(); });
+}
+
+TEST(Auditor, CorruptedLawsQueueIsDetected)
+{
+    const auto kernel = smallKernel();
+    Gpu gpu(auditedGpu(), *kernel);
+    auto* laws = dynamic_cast<LawsScheduler*>(&gpu.schedulerForTest(0));
+    ASSERT_NE(laws, nullptr);
+
+    // Drop a running warp from the queue: it could never issue again.
+    laws->queueForTest().remove(3);
+    expectSimError(SimErrorKind::kInvariant, "LAWS queue misses unfinished",
+                   [&] { gpu.auditNow(); });
+}
+
+TEST(Auditor, CorruptedCcwsAgeOrderIsDetected)
+{
+    const auto kernel = smallKernel();
+    GpuConfig cfg = auditedGpu();
+    cfg.scheduler = "ccws";
+    cfg.prefetcher = "none";
+    Gpu gpu(cfg, *kernel);
+    auto* ccws = dynamic_cast<CcwsScheduler*>(&gpu.schedulerForTest(0));
+    ASSERT_NE(ccws, nullptr);
+
+    // Move the oldest warp to the tail without giving it a new stamp:
+    // throttling would then suspend it before younger warps.
+    ccws->ageOrderForTest().pushBack(0);
+    expectSimError(SimErrorKind::kInvariant, "CCWS age order",
                    [&] { gpu.auditNow(); });
 }
 
