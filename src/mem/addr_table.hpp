@@ -313,14 +313,6 @@ class AddrSet
         return true;
     }
 
-    void
-    clear()
-    {
-        for (Addr& slot : slots_)
-            slot = kInvalidAddr;
-        size_ = 0;
-    }
-
     /** Grow (never shrink) to hold @p expected entries without rehash. */
     void
     reserve(std::size_t expected)

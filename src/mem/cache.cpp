@@ -395,18 +395,4 @@ Cache::corruptTagForTest(std::uint32_t set, std::uint32_t way, Addr tag)
     tags_[static_cast<std::size_t>(set) * cfg.ways + way] = tag;
 }
 
-void
-Cache::reset()
-{
-    tags_.assign(tags_.size(), kInvalidAddr);
-    for (auto& line : lines)
-        line = Line{};
-    mshrs.clear();
-    everResident.clear();
-    earlyEvictedLines.clear();
-    useClock = 0;
-    lastDemandWasHit = false;
-    stats_ = CacheStats{};
-}
-
 } // namespace apres

@@ -208,9 +208,6 @@ class Cache
      */
     void setMetrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
-    /** Invalidate all lines and pending state (for reuse in sweeps). */
-    void reset();
-
     /** Statistic counters. */
     const CacheStats& stats() const { return stats_; }
 
@@ -219,9 +216,6 @@ class Cache
 
     /** Name given at construction. */
     const std::string& name() const { return name_; }
-
-    /** Number of sets. */
-    std::uint32_t numSets() const { return sets_; }
 
     /**
      * Audit the SoA tag array: every valid tag must index to its set,

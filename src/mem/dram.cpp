@@ -51,13 +51,4 @@ DramPartition::schedule(Cycle now, Addr line_addr)
     return start + cfg.baseLatency;
 }
 
-void
-DramPartition::reset()
-{
-    nextFree = 0;
-    if (cfg.rowBufferModel)
-        openRow.assign(openRow.size(), 0);
-    stats_ = DramStats{};
-}
-
 } // namespace apres

@@ -101,14 +101,8 @@ class DramPartition
      */
     Cycle schedule(Cycle now, Addr line_addr = 0);
 
-    /** First cycle a new transfer could start. */
-    Cycle nextFreeCycle() const { return nextFree; }
-
     /** Counters. */
     const DramStats& stats() const { return stats_; }
-
-    /** Reset channel state and counters. */
-    void reset();
 
   private:
     Cycle serviceCost(Addr line_addr);

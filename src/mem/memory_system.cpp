@@ -60,7 +60,7 @@ MemorySystem::partitionOf(Addr line_addr) const
 void
 MemorySystem::scheduleEvent(Cycle ready, const MemRequest& req, bool fills_l2)
 {
-    events.push(ready, Event{req, fills_l2});
+    events.push(Event{ready, nextSeq_++, req, fills_l2});
 }
 
 std::vector<MemorySystem::StagedRequest>&
@@ -96,48 +96,25 @@ MemorySystem::submitWrite(const MemRequest& req, Cycle now)
 void
 MemorySystem::drainStaged()
 {
-    // Merge the per-SM queues into canonical order: cycle ascending,
-    // then SM ascending, then per-SM program order. Each queue is
-    // already cycle-ordered (an SM submits monotonically), so a k-way
-    // merge over the queue heads — a min-heap keyed (cycle, smId) —
-    // replays exactly the order a concatenate-and-stable-sort would,
-    // at O(N log K) without copying a single request. Equal-cycle runs
-    // within one SM drain as a batch: once (cycle, sm) is the heap
-    // minimum, no other queue may precede any entry of that run.
-    const auto later = [](const DrainHead& a, const DrainHead& b) {
-        return a.at != b.at ? a.at > b.at : a.sm > b.sm;
-    };
-    drainHeads_.clear();
-    for (std::size_t sm = 0; sm < staged_.size(); ++sm) {
-        if (!staged_[sm].empty()) {
-            drainHeads_.push_back(
-                DrainHead{staged_[sm].front().at, static_cast<int>(sm), 0});
-        }
-    }
-    std::make_heap(drainHeads_.begin(), drainHeads_.end(), later);
-    while (!drainHeads_.empty()) {
-        std::pop_heap(drainHeads_.begin(), drainHeads_.end(), later);
-        DrainHead head = drainHeads_.back();
-        drainHeads_.pop_back();
-        std::vector<StagedRequest>& queue =
-            staged_[static_cast<std::size_t>(head.sm)];
-        std::size_t idx = head.idx;
-        const Cycle at = head.at;
-        do {
-            const StagedRequest& s = queue[idx];
-            if (s.isWrite)
-                processWrite(s.req, s.at);
-            else
-                processRead(s.req, s.at);
-            ++idx;
-        } while (idx < queue.size() && queue[idx].at == at);
-        if (idx < queue.size()) {
-            drainHeads_.push_back(DrainHead{queue[idx].at, head.sm, idx});
-            std::push_heap(drainHeads_.begin(), drainHeads_.end(), later);
-        }
-    }
-    for (std::vector<StagedRequest>& queue : staged_)
+    // Canonical order: cycle ascending, then SM ascending, then per-SM
+    // program order. Each queue is already in program order and the
+    // queues are concatenated SM-ascending, so a stable sort by cycle
+    // leaves exactly that order.
+    drainOrder_.clear();
+    for (std::vector<StagedRequest>& queue : staged_) {
+        drainOrder_.insert(drainOrder_.end(), queue.begin(), queue.end());
         queue.clear();
+    }
+    std::stable_sort(drainOrder_.begin(), drainOrder_.end(),
+                     [](const StagedRequest& a, const StagedRequest& b) {
+                         return a.at < b.at;
+                     });
+    for (const StagedRequest& s : drainOrder_) {
+        if (s.isWrite)
+            processWrite(s.req, s.at);
+        else
+            processRead(s.req, s.at);
+    }
 }
 
 Cycle
@@ -232,7 +209,9 @@ MemorySystem::deliver(const MemRequest& req, Cycle now)
 void
 MemorySystem::tick(Cycle now)
 {
-    events.popUntil(now, [&](Cycle, Event& ev) {
+    while (!events.empty() && events.top().ready <= now) {
+        const Event ev = events.top();
+        events.pop();
         if (ev.fillsL2) {
             const int p = partitionOf(ev.req.lineAddr);
             Cache::FillResult fill =
@@ -245,13 +224,14 @@ MemorySystem::tick(Cycle now)
         } else {
             deliver(ev.req, now);
         }
-    });
+    }
 }
 
 Cycle
 MemorySystem::nextEventCycle() const
 {
-    return events.nextReady();
+    return events.empty() ? std::numeric_limits<Cycle>::max()
+                          : events.top().ready;
 }
 
 std::uint64_t
@@ -268,22 +248,6 @@ MemorySystem::l2StatsTotal() const
     for (const auto& l2 : l2s)
         total += l2->stats();
     return total;
-}
-
-void
-MemorySystem::reset()
-{
-    for (auto& l2 : l2s)
-        l2->reset();
-    for (auto& dram : drams)
-        dram.reset();
-    events.clear();
-    traffic_ = TrafficStats{};
-    outstandingReads_.assign(outstandingReads_.size(), 0);
-    responsesDelivered_ = 0;
-    staging_ = false;
-    for (std::vector<StagedRequest>& queue : staged_)
-        queue.clear();
 }
 
 } // namespace apres

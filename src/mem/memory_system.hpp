@@ -17,12 +17,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "common/types.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
-#include "mem/event_queue.hpp"
 #include "mem/request.hpp"
 
 namespace apres {
@@ -131,7 +131,7 @@ class MemorySystem
     /** True when no responses are in flight. */
     bool idle() const { return events.empty(); }
 
-    /** Earliest pending response cycle (kNever when idle). */
+    /** Earliest pending response cycle (the largest Cycle when idle). */
     Cycle nextEventCycle() const;
 
     /**
@@ -164,9 +164,6 @@ class MemorySystem
     /** Aggregated L2 stats across partitions. */
     CacheStats l2StatsTotal() const;
 
-    /** Reset caches, channels and counters (for config sweeps). */
-    void reset();
-
     /**
      * Install the event tracer (null = off). The memory side emits a
      * kDramService event on its lane whenever a read is scheduled on a
@@ -175,12 +172,23 @@ class MemorySystem
     void setTracer(Tracer* tracer) { tracer_ = tracer; }
 
   private:
-    /** A scheduled completion (ready cycle and FIFO order live in the
-     *  calendar queue). */
+    /** A scheduled completion. */
     struct Event
     {
+        Cycle ready = 0;
+        std::uint64_t seq = 0;  ///< push order: breaks ready-cycle ties
         MemRequest req;
         bool fillsL2 = false;   ///< response must fill the L2 partition
+    };
+
+    /** Heap order: the earliest (ready, seq) on top. */
+    struct LaterEvent
+    {
+        bool
+        operator()(const Event& a, const Event& b) const
+        {
+            return a.ready != b.ready ? a.ready > b.ready : a.seq > b.seq;
+        }
     };
 
     /** One deferred submit captured while staging. */
@@ -189,14 +197,6 @@ class MemorySystem
         Cycle at = 0;
         MemRequest req;
         bool isWrite = false;
-    };
-
-    /** Cursor into one SM's staged queue during the k-way drain. */
-    struct DrainHead
-    {
-        Cycle at = 0;
-        int sm = 0;
-        std::size_t idx = 0;
     };
 
     void scheduleEvent(Cycle ready, const MemRequest& req, bool fills_l2);
@@ -209,14 +209,16 @@ class MemorySystem
     std::vector<std::unique_ptr<Cache>> l2s;
     std::vector<DramPartition> drams;
     std::vector<MemClient*> clients;
-    CalendarQueue<Event> events;
+    /** In-flight responses, delivered in (ready, submission) order. */
+    std::priority_queue<Event, std::vector<Event>, LaterEvent> events;
+    std::uint64_t nextSeq_ = 0;
     TrafficStats traffic_;
     std::vector<std::uint64_t> outstandingReads_; ///< per SM, in flight
     std::uint64_t responsesDelivered_ = 0;
     Tracer* tracer_ = nullptr;
     bool staging_ = false;
     std::vector<std::vector<StagedRequest>> staged_; ///< one queue per SM
-    std::vector<DrainHead> drainHeads_; ///< reused k-way merge heap
+    std::vector<StagedRequest> drainOrder_; ///< reused drain buffer
 };
 
 } // namespace apres

@@ -350,7 +350,8 @@ ConfigRegistry::ConfigRegistry(GpuConfig& c)
     addInt("str.degree", c.str.degree, 1);
     addInt("str.trainThreshold", c.str.trainThreshold, 1);
 
-    addInt("sld.linesPerBlock", c.sld.linesPerBlock, 1);
+    // A one-line macro-block has no other line to prefetch.
+    addInt("sld.linesPerBlock", c.sld.linesPerBlock, 2);
     addInt("sld.tableEntries", c.sld.tableEntries, 1);
     addU32("sld.lineSize", c.sld.lineSize, 1);
 

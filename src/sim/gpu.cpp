@@ -19,6 +19,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/bitutils.hpp"
 #include "common/log.hpp"
 #include "common/sim_error.hpp"
 #include "sim/auditor.hpp"
@@ -40,6 +41,31 @@ upperCased(const std::string& name)
             c = static_cast<char>(c - 'a' + 'A');
     }
     return out;
+}
+
+/**
+ * Reject a cache geometry the Cache model cannot index: the line size
+ * and the set count (sizeBytes / (ways * lineSize)) must be powers of
+ * two. @p prefix is the cache's key namespace ("l1" or "l2").
+ */
+void
+checkCacheGeometry(const std::string& prefix, const CacheConfig& c)
+{
+    if (c.ways == 0)
+        throwConfigError(prefix + ".ways must be >= 1");
+    if (!isPowerOfTwo(c.lineSize))
+        throwConfigError(prefix + ".lineSize=" + std::to_string(c.lineSize) +
+                         " is not a power of two");
+    const std::uint64_t sets =
+        c.sizeBytes / (std::uint64_t{c.lineSize} * c.ways);
+    if (!isPowerOfTwo(sets)) {
+        throwConfigError(
+            prefix + ".sizeBytes=" + std::to_string(c.sizeBytes) +
+            " holds " + std::to_string(sets) + " sets of " + prefix +
+            ".ways=" + std::to_string(c.ways) + " lines of " + prefix +
+            ".lineSize=" + std::to_string(c.lineSize) +
+            " B; the set count must be a power of two");
+    }
 }
 
 } // namespace
@@ -75,6 +101,14 @@ Gpu::Gpu(const GpuConfig& config, const Kernel& kernel_ref)
             "warpsPerBlock=" + std::to_string(cfg.sm.warpsPerBlock) +
             " exceeds the 64-lane barrier participant mask width; "
             "configure at most 64 warps per block");
+    checkCacheGeometry("l1", cfg.sm.l1);
+    checkCacheGeometry("l2", cfg.mem.l2Partition);
+    if (cfg.mem.dram.rowBufferModel && cfg.mem.dram.rowBytes < 128) {
+        throwConfigError("dram.rowBytes=" +
+                         std::to_string(cfg.mem.dram.rowBytes) +
+                         " is below one 128 B line; the row-buffer model "
+                         "(dram.rowBufferModel) needs at least 128");
+    }
     memsys = std::make_unique<MemorySystem>(cfg.mem);
     for (int s = 0; s < cfg.numSms; ++s) {
         schedulers.push_back(makeScheduler(cfg));
@@ -172,10 +206,11 @@ Gpu::finish()
 namespace {
 
 /**
- * Generation-counted spin barrier for the epoch engine. Epochs are a
- * few hundred simulated cycles, so parties meet every few
- * microseconds of wall time — spinning beats a mutex+condvar
- * sleep/wake round trip at that cadence by an order of magnitude.
+ * Generation-counted spin barrier for the epoch engine. Epochs last
+ * at most minResponseLatency() simulated cycles (200 by default) and
+ * usually far fewer, so parties meet every few microseconds of wall
+ * time — spinning beats a mutex+condvar sleep/wake round trip at that
+ * cadence by an order of magnitude.
  *
  * The wait loop spins with a CPU relax hint first (a pause keeps the
  * waiting hyperthread from starving its sibling and cuts the
@@ -373,22 +408,13 @@ Gpu::advanceTo(Cycle cap)
 
             // The epoch ends at the next delivery, the next deadline or
             // the cap. Staged, it must also end before any request
-            // submitted inside it could be answered (DESIGN.md §15): no
-            // SM submits before its nextWakeup(), and no answer comes
-            // sooner than minResponseLatency(). The naive oracle takes
-            // no wakeup bound: any SM may submit at once.
+            // submitted inside it could be answered: nothing is
+            // submitted before `cycle`, and no answer comes sooner than
+            // minResponseLatency() after its submission.
             Cycle end =
                 std::min({cap, memsys->nextEventCycle(), nextDeadline()});
-            if (staged) {
-                Cycle minIssue = cycle;
-                if (cfg.fastForward) {
-                    minIssue = kNever;
-                    for (const auto& sm : sms)
-                        minIssue = std::min(minIssue, sm->nextWakeup(cycle));
-                }
-                if (minIssue < kNever - minRespLat)
-                    end = std::min(end, minIssue + minRespLat);
-            }
+            if (staged)
+                end = std::min(end, cycle + minRespLat);
             end = std::max(end, cycle + 1);
 
             if (staged) {

@@ -222,9 +222,6 @@ class Gpu
         return prefetchers.at(static_cast<std::size_t>(index)).get();
     }
 
-    /** The shared memory side. */
-    const MemorySystem& memorySystem() const { return *memsys; }
-
     /** The event tracer (null unless GpuConfig::trace). */
     const Tracer* tracer() const { return tracer_.get(); }
 

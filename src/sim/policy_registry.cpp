@@ -58,10 +58,10 @@ schedulerFactories()
     return factories;
 }
 
-std::map<std::string, PrefetcherFactory>&
+const std::map<std::string, PrefetcherFactory>&
 prefetcherFactories()
 {
-    static std::map<std::string, PrefetcherFactory> factories = {
+    static const std::map<std::string, PrefetcherFactory> factories = {
         {"none",
          [](const GpuConfig&, Scheduler&) {
              return std::unique_ptr<Prefetcher>();
@@ -122,15 +122,6 @@ registerScheduler(const std::string& name, SchedulerFactory make)
         fatal("registerScheduler: empty name or null factory");
     if (!schedulerFactories().emplace(name, std::move(make)).second)
         fatal("scheduler \"" + name + "\" is already registered");
-}
-
-void
-registerPrefetcher(const std::string& name, PrefetcherFactory make)
-{
-    if (name.empty() || !make)
-        fatal("registerPrefetcher: empty name or null factory");
-    if (!prefetcherFactories().emplace(name, std::move(make)).second)
-        fatal("prefetcher \"" + name + "\" is already registered");
 }
 
 bool

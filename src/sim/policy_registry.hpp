@@ -9,7 +9,7 @@
  * edits to gpu.cpp, the CLI flag ladder, or any bench driver. The
  * built-in policies (LRR, GTO, CCWS, MASCAR, PA, LAWS; STR, SLD, SAP)
  * register themselves in policy_registry.cpp; tests and downstream
- * users may register additional policies at startup.
+ * users may register additional schedulers at startup.
  */
 
 #ifndef APRES_SIM_POLICY_REGISTRY_HPP
@@ -44,9 +44,6 @@ using PrefetcherFactory =
  * double-registration at startup rather than silently shadowing).
  */
 void registerScheduler(const std::string& name, SchedulerFactory make);
-
-/** Register a prefetcher under @p name (same rules as schedulers). */
-void registerPrefetcher(const std::string& name, PrefetcherFactory make);
 
 /** True when @p name is a registered scheduler. */
 bool knownScheduler(const std::string& name);

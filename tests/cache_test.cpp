@@ -303,20 +303,6 @@ TEST(Cache, SetHashSpreadsAlignedStrides)
               cache_plain.stats().demandHits);
 }
 
-TEST(Cache, ResetClearsEverything)
-{
-    Cache cache("t", tinyConfig());
-    cache.access(read(0));
-    cache.fill(0);
-    cache.reset();
-    EXPECT_FALSE(cache.contains(0));
-    EXPECT_EQ(cache.stats().demandAccesses, 0u);
-    EXPECT_EQ(cache.mshrsInUse(), 0u);
-    // After reset the first access is a cold miss again.
-    EXPECT_EQ(cache.access(read(0)), AccessOutcome::kMiss);
-    EXPECT_EQ(cache.stats().coldMisses, 1u);
-}
-
 TEST(Cache, StatsSumOperator)
 {
     CacheStats a;

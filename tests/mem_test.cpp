@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <tuple>
 #include <vector>
 
 #include "mem/coalescer.hpp"
@@ -91,15 +93,6 @@ TEST(Dram, IdleGapsResetQueueing)
     EXPECT_DOUBLE_EQ(dram.stats().avgQueueDelay(), 0.0);
 }
 
-TEST(Dram, ResetClearsChannel)
-{
-    DramPartition dram({});
-    dram.schedule(0);
-    dram.reset();
-    EXPECT_EQ(dram.nextFreeCycle(), 0u);
-    EXPECT_EQ(dram.stats().requests, 0u);
-}
-
 /** Collects responses delivered to one SM slot. */
 class RecordingClient : public MemClient
 {
@@ -133,6 +126,19 @@ readFrom(SmId sm, Addr line)
     req.sm = sm;
     req.lineAddr = line;
     return req;
+}
+
+/** One delivered response: (SM, line, delivery cycle). */
+using Delivery = std::tuple<SmId, Addr, Cycle>;
+
+/** The responses @p client received, in delivery order. */
+std::vector<Delivery>
+deliveries(const RecordingClient& client)
+{
+    std::vector<Delivery> out;
+    for (const auto& [req, now] : client.responses)
+        out.emplace_back(req.sm, req.lineAddr, now);
+    return out;
 }
 
 TEST(MemorySystem, L2MissGoesToDramThenHits)
@@ -236,6 +242,77 @@ TEST(MemorySystem, ResponsesDeliveredInOrder)
     EXPECT_LE(client.responses[0].second, client.responses[1].second);
 }
 
+TEST(MemorySystem, SameCycleResponsesArriveInSubmissionOrder)
+{
+    MemorySystem mem(smallMemConfig());
+    RecordingClient client; // both SMs: one log in delivery order
+    mem.registerClient(0, &client);
+    mem.registerClient(1, &client);
+
+    // Warm four lines into the L2.
+    for (const Addr line : {0x1000, 0x2000, 0x3000, 0x4000})
+        mem.submitRead(readFrom(0, line), 0);
+    mem.tick(1000);
+    client.responses.clear();
+
+    // A DRAM miss (440 cycles) and four L2 hits submitted 240 cycles
+    // later (200 cycles) all mature at 1440. They arrive in submission
+    // order, which is neither SM order nor address order.
+    mem.submitRead(readFrom(1, 0x9000), 1000);
+    mem.submitRead(readFrom(1, 0x4000), 1240);
+    mem.submitRead(readFrom(0, 0x1000), 1240);
+    mem.submitRead(readFrom(1, 0x3000), 1240);
+    mem.submitRead(readFrom(0, 0x2000), 1240);
+    mem.tick(1439);
+    EXPECT_TRUE(client.responses.empty());
+    mem.tick(1440);
+    const std::vector<Delivery> want{
+        {1, 0x9000, 1440}, {1, 0x4000, 1440}, {0, 0x1000, 1440},
+        {1, 0x3000, 1440}, {0, 0x2000, 1440}};
+    EXPECT_EQ(deliveries(client), want);
+}
+
+TEST(MemorySystem, FarFutureResponsesStayOrdered)
+{
+    // A DRAM round trip of 5,000 cycles puts responses more than 4,096
+    // cycles ahead of the delivery point; they must still interleave
+    // with nearer responses by (ready cycle, submission order).
+    MemSystemConfig cfg = smallMemConfig();
+    cfg.dram.baseLatency = 5000;
+    MemorySystem mem(cfg);
+    RecordingClient client; // both SMs: one log in delivery order
+    mem.registerClient(0, &client);
+    mem.registerClient(1, &client);
+
+    const Addr warm = 0x1000;
+    mem.submitRead(readFrom(0, warm), 0);
+    mem.tick(5000);
+    ASSERT_EQ(client.responses.size(), 1u);
+    client.responses.clear();
+
+    const Addr a = 0x2000;
+    Addr b = a + 128;
+    while (mem.partitionOf(b) != mem.partitionOf(a))
+        b += 128;
+    mem.submitRead(readFrom(0, a), 6000);    // DRAM: ready 11000
+    mem.submitRead(readFrom(1, b), 6000);    // queued behind a: 11006
+    mem.submitRead(readFrom(1, warm), 6000); // L2 hit: 6200
+    EXPECT_EQ(mem.nextEventCycle(), 6200u);
+    for (Cycle now = 6000; now <= 11200; ++now) {
+        if (now == 10800)
+            mem.submitRead(readFrom(1, warm), now); // 11000, after a
+        if (now == 10900)
+            mem.submitRead(readFrom(0, warm), now); // 11100
+        mem.tick(now);
+    }
+    const std::vector<Delivery> want{
+        {1, warm, 6200}, {0, a, 11000}, {1, warm, 11000},
+        {1, b, 11006},   {0, warm, 11100}};
+    EXPECT_EQ(deliveries(client), want);
+    EXPECT_TRUE(mem.idle());
+    EXPECT_EQ(mem.nextEventCycle(), std::numeric_limits<Cycle>::max());
+}
+
 TEST(MemorySystem, L2MshrFullStreamsFromDram)
 {
     MemSystemConfig cfg = smallMemConfig();
@@ -256,20 +333,6 @@ TEST(MemorySystem, L2MshrFullStreamsFromDram)
         mem.submitRead(readFrom(0, line), 0);
     mem.tick(2000);
     EXPECT_EQ(client.responses.size(), 3u);
-}
-
-TEST(MemorySystem, ResetRestoresPristineState)
-{
-    MemorySystem mem(smallMemConfig());
-    RecordingClient client;
-    mem.registerClient(0, &client);
-    mem.submitRead(readFrom(0, 0x1000), 0);
-    mem.reset();
-    EXPECT_TRUE(mem.idle());
-    EXPECT_EQ(mem.traffic().interconnectBytes(), 0u);
-    // The dropped in-flight response must not arrive.
-    mem.tick(10000);
-    EXPECT_TRUE(client.responses.empty());
 }
 
 TEST(MemorySystem, L2StatsAggregation)

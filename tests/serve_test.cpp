@@ -483,7 +483,10 @@ TEST(ServeDaemon, FailuresBecomeRowsAndAreNeverCached)
     ServeDaemon daemon(opts);
 
     // One good job, one invalid workload, one config that fails inside
-    // simulate() — keep-going semantics must deliver all three rows.
+    // simulate(), and an L1 too small for one 8-way set of 128 B lines
+    // (zero sets: a divide by zero in the cache's set index unless the
+    // Gpu rejects it first) — keep-going semantics must deliver all
+    // four rows.
     ServeJobSpec good = kmJob(32768);
     ServeJobSpec unknown;
     unknown.workload = "NOPE";
@@ -492,18 +495,26 @@ TEST(ServeDaemon, FailuresBecomeRowsAndAreNeverCached)
     broken.label = "broken";
     broken.overrides.emplace_back("scheduler", "gto");
     broken.overrides.emplace_back("prefetcher", "sap");
+    ServeJobSpec zero_sets = kmJob(1000);
 
-    const std::string request = runRequest({good, unknown, broken});
+    const std::string request =
+        runRequest({good, unknown, broken, zero_sets});
     const std::string first = daemon.handleRequest(request);
     const JsonValue doc = JsonValue::parse(first);
     const JsonValue& runs = doc.at("runs");
-    ASSERT_EQ(runs.size(), 3u);
+    ASSERT_EQ(runs.size(), 4u);
     EXPECT_EQ(runs.at(0).at("result").at("status").asString(), "ok");
     EXPECT_EQ(runs.at(1).at("result").at("status").asString(), "error");
     EXPECT_EQ(runs.at(1).at("result").at("error").at("kind").asString(),
               "ConfigError");
     EXPECT_FALSE(runs.at(1).has("key")); // never keyed
     EXPECT_EQ(runs.at(2).at("result").at("status").asString(), "error");
+    const JsonValue& zero_row = runs.at(3).at("result");
+    EXPECT_EQ(zero_row.at("status").asString(), "error");
+    EXPECT_EQ(zero_row.at("error").at("kind").asString(), "ConfigError");
+    EXPECT_NE(zero_row.at("error").at("detail").asString().find(
+                  "l1.sizeBytes=1000"),
+              std::string::npos);
 
     // Only the clean result was memoized: the repeat serves the good
     // job from cache and re-runs the broken one.
@@ -512,6 +523,7 @@ TEST(ServeDaemon, FailuresBecomeRowsAndAreNeverCached)
     const JsonValue doc2 = JsonValue::parse(second);
     EXPECT_TRUE(doc2.at("runs").at(0).at("cached").asBool());
     EXPECT_FALSE(doc2.at("runs").at(2).at("cached").asBool());
+    EXPECT_FALSE(doc2.at("runs").at(3).at("cached").asBool());
     EXPECT_GT(daemon.simulationsRun(), after_first);
 
     // Malformed kernel text fails its own row, ahead of a healthy job:

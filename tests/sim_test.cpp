@@ -8,8 +8,11 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "isa/address_gen.hpp"
+#include "sim/config_registry.hpp"
 #include "sim/gpu.hpp"
 #include "sim/policy_registry.hpp"
 #include "sim/runner.hpp"
@@ -221,6 +224,30 @@ TEST(Sim, RejectsMoreThan64WarpsPerBlock)
     cfg.sm.warpsPerBlock = 80;
     expectSimError(SimErrorKind::kConfig, "64-lane barrier participant",
                    [&] { simulate(cfg, wl.kernel); });
+}
+
+TEST(Sim, RejectsUnbuildableMemoryGeometry)
+{
+    // The cache and DRAM values pass the registry's bound on their key
+    // but describe a cache the model cannot index (zero sets, a set
+    // count or line size that is not a power of two) or a DRAM row
+    // shorter than a line, so the Gpu rejects them before the first
+    // cycle; a one-line SLD block fails its key's own bound. Either way
+    // the ConfigError names the key.
+    const Workload wl = makeWorkload("SP", 0.05);
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"l1.sizeBytes", "1000"}, {"l2.sizeBytes", "100"},
+        {"l1.lineSize", "96"},    {"l1.ways", "3"},
+        {"dram.rowBytes", "64"},  {"sld.linesPerBlock", "1"}};
+    for (const auto& [key, value] : cases) {
+        GpuConfig cfg = smallGpu();
+        cfg.mem.dram.rowBufferModel = true;
+        cfg.prefetcher = "sld";
+        expectSimError(SimErrorKind::kConfig, key, [&] {
+            applyOverrides(cfg, {{key, value}});
+            Gpu gpu(cfg, wl.kernel);
+        });
+    }
 }
 
 /**

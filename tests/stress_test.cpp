@@ -289,28 +289,65 @@ TEST(Stress, KernelTextFuzzParsesOrThrowsTyped)
 
 TEST(Stress, RandomConfigAssignmentsRejectedOrApplied)
 {
-    // Random key=value soup through the registry: either it applies
-    // cleanly or throws ConfigError; structural bounds must hold.
+    // Random key=value soup through the registry: it either throws
+    // ConfigError, or the machine it configures is rejected as a
+    // ConfigError before its first cycle, or that machine builds and
+    // steps. The cache geometry keys need the second check: the
+    // registry bounds each key alone, so l1.sizeBytes=1000 (zero sets
+    // of 8 x 128 B) passes it.
     std::mt19937_64 rng(kStressSeed ^ 0xCAFE);
     const std::vector<std::string> keys = {
         "numSms",       "sm.warpsPerSm", "sm.warpsPerBlock",
-        "l1.sizeBytes", "l1.numMshrs",   "sap.ptEntries",
-        "sim.auditInterval", "sim.watchdogCycles", "no.such.key",
+        "l1.sizeBytes", "l1.ways",       "l1.lineSize",
+        "l1.numMshrs",  "l2.sizeBytes",  "l2.ways",
+        "l2.lineSize",  "sap.ptEntries", "sim.auditInterval",
+        "sim.watchdogCycles", "no.such.key",
     };
+    KernelBuilder b("assignments");
+    b.alu({b.load(std::make_unique<StridedGen>(Addr{1} << 22, 128, 128))});
+    const Kernel kernel = b.build(2);
     std::uniform_int_distribution<std::size_t> key(0, keys.size() - 1);
-    std::uniform_int_distribution<int> val(-4, 1'000'000);
+    // Half the draws are small, so associativities and line sizes get
+    // past the registry's upper bounds.
+    std::uniform_int_distribution<int> large(-4, 1'000'000);
+    std::uniform_int_distribution<int> small(-4, 300);
+    int built = 0;
+    int rejected = 0;
     for (int i = 0; i < 300; ++i) {
         GpuConfig cfg;
         ConfigRegistry reg(cfg);
+        const std::string& name = keys[key(rng)];
+        const int value = rng() % 2 ? small(rng) : large(rng);
+        SCOPED_TRACE(name + "=" + std::to_string(value));
         try {
-            reg.set(keys[key(rng)], std::to_string(val(rng)));
-            // Applied: the structural floors survived.
-            EXPECT_GE(cfg.numSms, 1);
-            EXPECT_GE(cfg.sm.warpsPerSm, 1);
+            reg.set(name, std::to_string(value));
         } catch (const SimError& e) {
             EXPECT_EQ(e.kind(), SimErrorKind::kConfig) << e.what();
+            continue;
+        }
+        // Applied: the structural floors survived.
+        EXPECT_GE(cfg.numSms, 1);
+        EXPECT_GE(cfg.sm.warpsPerSm, 1);
+        std::unique_ptr<Gpu> gpu;
+        try {
+            gpu = std::make_unique<Gpu>(cfg, kernel);
+        } catch (const SimError& e) {
+            EXPECT_EQ(e.kind(), SimErrorKind::kConfig) << e.what();
+            ++rejected;
+            continue;
+        }
+        ++built;
+        try {
+            gpu->step(500);
+        } catch (const SimError& e) {
+            // A watchdog shorter than a memory round trip trips by
+            // design.
+            EXPECT_EQ(e.kind(), SimErrorKind::kDeadlock) << e.what();
+            EXPECT_EQ(name, "sim.watchdogCycles");
         }
     }
+    EXPECT_GT(built, 0);
+    EXPECT_GT(rejected, 0);
 }
 
 } // namespace
