@@ -772,8 +772,8 @@ main(int argc, char** argv)
             selected.push_back(&fig);
     }
 
-    // App-major, so an app's cells sit together in the batch and the
-    // few 32 MB-L1 cells rarely run at the same time.
+    // App-major, so an app's cells sit together in the batch; a cell
+    // that several figures share keeps the label of the first request.
     Cells cells(benchScale());
     for (const std::string& app : allWorkloadNames()) {
         for (const Figure* fig : selected) {

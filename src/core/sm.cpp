@@ -541,8 +541,8 @@ Sm::auditInvariants(Cycle now) const
         }
     }
 
-    // L1 tag array: set-index consistency, duplicate tags, and
-    // resident-while-pending violations.
+    // L1 storage: slot-index ownership, set-index consistency,
+    // duplicate tags, and resident-while-pending violations.
     out << l1_.auditTags();
 
     // L1 MSHRs pair one-to-one with in-flight memory-system reads;

@@ -244,7 +244,9 @@ class AddrMap
 /**
  * Open-addressing set of line addresses — AddrMap's probing scheme
  * with 8-byte slots. Backs the cache's miss-taxonomy residency sets,
- * which are hit on every demand miss.
+ * which are hit on every demand miss. It starts small and grows by
+ * doubling with the lines a run touches, never with the modelled
+ * cache capacity.
  */
 class AddrSet
 {
@@ -311,16 +313,6 @@ class AddrSet
         slots_[hole] = kInvalidAddr;
         --size_;
         return true;
-    }
-
-    /** Grow (never shrink) to hold @p expected entries without rehash. */
-    void
-    reserve(std::size_t expected)
-    {
-        const std::size_t cap =
-            detail::tableCapacityFor(expected * 10 / 7 + 1);
-        if (cap > slots_.size())
-            rebuild(cap);
     }
 
     std::size_t size() const { return size_; }

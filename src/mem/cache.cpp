@@ -76,12 +76,10 @@ Cache::Cache(std::string name, const CacheConfig& config)
                                        (static_cast<std::uint64_t>(cfg.lineSize)
                                         * cfg.ways));
     assert(isPowerOfTwo(sets_) && "sets must be a power of two");
-    tags_.assign(static_cast<std::size_t>(sets_) * cfg.ways, kInvalidAddr);
-    lines.resize(static_cast<std::size_t>(sets_) * cfg.ways);
+    setSlot_.assign(sets_, kNoSlot);
     // The MSHR file is bounded by numMshrs: preallocate so no
     // simulation-path insert ever rehashes.
     mshrs.reserve(cfg.numMshrs);
-    everResident.reserve(4 * static_cast<std::size_t>(sets_) * cfg.ways);
 }
 
 std::uint32_t
@@ -100,8 +98,10 @@ Cache::setIndex(Addr line_addr) const
 std::size_t
 Cache::findIdx(Addr line_addr) const
 {
-    const std::uint32_t set = setIndex(line_addr);
-    const std::size_t base = static_cast<std::size_t>(set) * cfg.ways;
+    const std::uint32_t slot = setSlot_[setIndex(line_addr)];
+    if (slot == kNoSlot)
+        return kNoIdx; // never filled: nothing resident, nothing to touch
+    const std::size_t base = static_cast<std::size_t>(slot) * cfg.ways;
     // One contiguous run of 8-byte tags: a whole 8-way set is a single
     // 64-byte cache line of the host.
     const Addr* tags = &tags_[base];
@@ -113,10 +113,24 @@ Cache::findIdx(Addr line_addr) const
 }
 
 std::size_t
+Cache::slotBase(std::uint32_t set)
+{
+    std::uint32_t& slot = setSlot_[set];
+    if (slot == kNoSlot) {
+        // First fill of this set: append `ways` invalid entries.
+        slot = static_cast<std::uint32_t>(filledSets());
+        tags_.resize(tags_.size() + cfg.ways, kInvalidAddr);
+        lines.resize(lines.size() + cfg.ways);
+    }
+    return static_cast<std::size_t>(slot) * cfg.ways;
+}
+
+std::size_t
 Cache::victimIdx(std::uint32_t set)
 {
-    const std::size_t base = static_cast<std::size_t>(set) * cfg.ways;
-    // Invalid ways are always preferred, for every policy.
+    const std::size_t base = slotBase(set);
+    // Invalid ways are always preferred, for every policy (a newly
+    // filled set's are all invalid, so its first fill takes way 0).
     for (std::uint32_t w = 0; w < cfg.ways; ++w) {
         if (tags_[base + w] == kInvalidAddr)
             return base + w;
@@ -361,8 +375,31 @@ std::string
 Cache::auditTags() const
 {
     std::ostringstream out;
+    const std::size_t slots = filledSets();
+    if (tags_.size() != slots * cfg.ways || lines.size() != tags_.size()) {
+        out << name_ << ": the pools hold " << tags_.size() << " tags and "
+            << lines.size() << " payloads; each must be " << cfg.ways
+            << " per filled set\n";
+    }
+    std::vector<bool> owned(slots, false);
+    std::size_t filled = 0;
     for (std::uint32_t set = 0; set < sets_; ++set) {
-        const std::size_t base = static_cast<std::size_t>(set) * cfg.ways;
+        const std::uint32_t slot = setSlot_[set];
+        if (slot == kNoSlot)
+            continue;
+        ++filled;
+        if (slot >= slots) {
+            out << name_ << " set " << set << ": slot " << slot
+                << " is outside the " << slots << " filled slots\n";
+            continue;
+        }
+        if (owned[slot]) {
+            out << name_ << " set " << set << ": slot " << slot
+                << " is owned by another set\n";
+            continue;
+        }
+        owned[slot] = true;
+        const std::size_t base = static_cast<std::size_t>(slot) * cfg.ways;
         for (std::uint32_t w = 0; w < cfg.ways; ++w) {
             const Addr tag = tags_[base + w];
             if (tag == kInvalidAddr)
@@ -386,13 +423,23 @@ Cache::auditTags() const
             }
         }
     }
+    if (filled != slots) {
+        out << name_ << ": " << filled << " sets are filled but the pools "
+            << "hold " << slots << " sets\n";
+    }
     return out.str();
 }
 
 void
 Cache::corruptTagForTest(std::uint32_t set, std::uint32_t way, Addr tag)
 {
-    tags_[static_cast<std::size_t>(set) * cfg.ways + way] = tag;
+    tags_[slotBase(set) + way] = tag;
+}
+
+void
+Cache::corruptSlotForTest(std::uint32_t set, std::uint32_t slot)
+{
+    setSlot_[set] = slot;
 }
 
 } // namespace apres

@@ -18,8 +18,12 @@
  *    (correctly predicted line evicted before its demand arrived,
  *    Section III-C), and useless.
  *
- * Hot-path layout: tags live in a structure-of-arrays `tags_` vector
- * (kInvalidAddr = invalid way) so findLine() probes one contiguous
+ * Hot-path layout: a set owns storage only once a fill lands in it. A
+ * per-set slot index (kNoSlot until the first fill) points into tag
+ * and payload pools that grow by one set (`ways` entries) at a time,
+ * so host memory follows the sets a run fills, not the modelled
+ * capacity. Inside a slot the tags are a structure-of-arrays run
+ * (kInvalidAddr = invalid way), so findIdx() probes one contiguous
  * 64-byte run of tags per set instead of striding through the fat
  * per-line payload structs; MSHRs and the miss-taxonomy residency
  * sets are open-addressing tables (mem/addr_table.hpp) instead of
@@ -217,20 +221,29 @@ class Cache
     /** Name given at construction. */
     const std::string& name() const { return name_; }
 
+    /** Sets that own tag and payload storage (one per set ever filled). */
+    std::size_t filledSets() const { return tags_.size() / cfg.ways; }
+
     /**
-     * Audit the SoA tag array: every valid tag must index to its set,
-     * a set must not hold duplicate tags, and a resident line must not
-     * also have an outstanding MSHR entry.
+     * Audit the slot index and the filled sets' tags: every filled set
+     * owns a distinct, in-range slot, the pools hold exactly filled
+     * sets x ways entries, every valid tag indexes to its set, a set
+     * holds no duplicate tags, and a resident line has no outstanding
+     * MSHR entry.
      * @return "" when consistent, else a description of the violation.
      */
     std::string auditTags() const;
 
     /**
      * TEST HOOK: overwrite the tag of (@p set, @p way) with @p tag,
-     * bypassing every fill/evict invariant, so hardening tests can
-     * watch the auditor flag the corruption (SimError kInvariant).
+     * giving the set storage first if it has none, bypassing every
+     * fill/evict invariant, so hardening tests can watch the auditor
+     * flag the corruption (SimError kInvariant).
      */
     void corruptTagForTest(std::uint32_t set, std::uint32_t way, Addr tag);
+
+    /** TEST HOOK: point @p set's slot index entry at @p slot. */
+    void corruptSlotForTest(std::uint32_t set, std::uint32_t slot);
 
   private:
     /** Per-line payload; the tag itself lives in tags_ (SoA). */
@@ -252,9 +265,13 @@ class Cache
 
     /** "No such line" result of findIdx. */
     static constexpr std::size_t kNoIdx = ~static_cast<std::size_t>(0);
+    /** Slot index entry of a set that was never filled. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
     std::uint32_t setIndex(Addr line_addr) const;
     std::size_t findIdx(Addr line_addr) const;
+    /** Pool index of @p set's way 0; gives the set storage if it has none. */
+    std::size_t slotBase(std::uint32_t set);
     std::size_t victimIdx(std::uint32_t set);
     template <bool kMetrics>
     void recordDemandHit(std::size_t idx, const MemRequest& req);
@@ -266,8 +283,9 @@ class Cache
     std::string name_;
     CacheConfig cfg;
     std::uint32_t sets_;
-    std::vector<Addr> tags_;  // sets_ * ways, SoA; kInvalidAddr = invalid
-    std::vector<Line> lines;  // sets_ * ways, row-major payloads
+    std::vector<std::uint32_t> setSlot_; // sets_ entries; kNoSlot = unfilled
+    std::vector<Addr> tags_;  // filled sets * ways, SoA; kInvalidAddr = invalid
+    std::vector<Line> lines;  // filled sets * ways, row-major payloads
     AddrMap<MshrEntry> mshrs;
     AddrSet everResident;       // for cold-miss taxonomy
     AddrSet earlyEvictedLines;  // prefetched, never touched

@@ -152,6 +152,9 @@ class MemorySystem
     /** L2 partition caches (index 0..numPartitions-1). */
     const Cache& l2(int partition) const { return *l2s.at(partition); }
 
+    /** TEST HOOK: mutable L2 partition for fault-injection tests. */
+    Cache& l2ForTest(int partition) { return *l2s.at(partition); }
+
     /** DRAM channel of @p partition. */
     const DramPartition& dram(int partition) const
     {

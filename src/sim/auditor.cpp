@@ -218,6 +218,9 @@ Auditor::checkInvariants(Cycle now) const
     std::string violations;
     for (const auto& sm : sms)
         violations += sm->auditInvariants(now);
+    // The L2 partitions are the same Cache model as the L1s.
+    for (int p = 0; p < cfg.mem.numPartitions; ++p)
+        violations += memsys.l2(p).auditTags();
     violations += checkPolicyStructures();
     if (violations.empty()) {
         ++passes_;

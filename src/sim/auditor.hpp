@@ -16,6 +16,10 @@
  *  - barriers: arrival counters match the parked warps, and a
  *    complete barrier has released;
  *  - L1 MSHRs pair one-to-one with in-flight MemorySystem reads;
+ *  - caches (every L1 and every L2 partition): the slot index gives
+ *    each filled set a distinct slot of the tag/payload pools, and
+ *    the filled sets' tags index to their set without duplicates or
+ *    a concurrent MSHR;
  *  - LAWS (Section IV-A, Table II): the scheduling queue holds each
  *    unfinished warp exactly once, and each warp's rank equals its
  *    position; WGT holds at most 3 entries whose owner and member bits

@@ -46,7 +46,8 @@ upperCased(const std::string& name)
 /**
  * Reject a cache geometry the Cache model cannot index: the line size
  * and the set count (sizeBytes / (ways * lineSize)) must be powers of
- * two. @p prefix is the cache's key namespace ("l1" or "l2").
+ * two, and the set count must fit the cache's 32-bit set index.
+ * @p prefix is the cache's key namespace ("l1" or "l2").
  */
 void
 checkCacheGeometry(const std::string& prefix, const CacheConfig& c)
@@ -58,14 +59,18 @@ checkCacheGeometry(const std::string& prefix, const CacheConfig& c)
                          " is not a power of two");
     const std::uint64_t sets =
         c.sizeBytes / (std::uint64_t{c.lineSize} * c.ways);
-    if (!isPowerOfTwo(sets)) {
-        throwConfigError(
-            prefix + ".sizeBytes=" + std::to_string(c.sizeBytes) +
-            " holds " + std::to_string(sets) + " sets of " + prefix +
-            ".ways=" + std::to_string(c.ways) + " lines of " + prefix +
-            ".lineSize=" + std::to_string(c.lineSize) +
-            " B; the set count must be a power of two");
-    }
+    const auto reject = [&](const std::string& why) {
+        throwConfigError(prefix + ".sizeBytes=" +
+                         std::to_string(c.sizeBytes) + " holds " +
+                         std::to_string(sets) + " sets of " + prefix +
+                         ".ways=" + std::to_string(c.ways) + " lines of " +
+                         prefix + ".lineSize=" + std::to_string(c.lineSize) +
+                         " B; " + why);
+    };
+    if (!isPowerOfTwo(sets))
+        reject("the set count must be a power of two");
+    if (sets > std::numeric_limits<std::uint32_t>::max())
+        reject("the set index is 32 bits, so at most 2^31 sets");
 }
 
 } // namespace

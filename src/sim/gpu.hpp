@@ -216,6 +216,9 @@ class Gpu
         return *schedulers.at(static_cast<std::size_t>(index));
     }
 
+    /** TEST HOOK: mutable memory system (L2 partitions, DRAM). */
+    MemorySystem& memsysForTest() { return *memsys; }
+
     /** TEST HOOK: prefetcher of SM @p index (null when "none"). */
     Prefetcher* prefetcherForTest(int index)
     {

@@ -374,6 +374,42 @@ TEST(Cache, RandomPrefersInvalidWays)
         EXPECT_TRUE(cache.contains(static_cast<Addr>(i) * 2 * 128));
 }
 
+TEST(Cache, StorageGrowsWithFilledSetsOnly)
+{
+    CacheConfig cfg;
+    cfg.sizeBytes = 32 * 1024 * 1024; // 32,768 sets x 8 ways x 128 B
+    cfg.hashSetIndex = false;         // line i maps to set i
+    Cache cache("big", cfg);
+    EXPECT_EQ(cache.filledSets(), 0u);
+
+    // Probes of never-filled sets miss and give them no storage.
+    MemRequest store = read(3 * 128);
+    store.isWrite = true;
+    EXPECT_EQ(cache.access(read(1 * 128)), AccessOutcome::kMiss);
+    EXPECT_EQ(cache.prefetch(prefetchReq(2 * 128)),
+              PrefetchOutcome::kIssued);
+    EXPECT_FALSE(cache.storeAccess(store));
+    EXPECT_FALSE(cache.contains(4 * 128));
+    EXPECT_FALSE(cache.isPending(4 * 128));
+    EXPECT_EQ(cache.filledSets(), 0u);
+
+    // One set of storage per distinct set filled, spread across the
+    // whole index.
+    constexpr Addr kSetSpan = 32768 * 128; // next line of the same set
+    const std::vector<Addr> sets = {1, 2, 0, 4095, 20000, 32767};
+    for (const Addr set : sets)
+        cache.fill(set * 128);
+    EXPECT_EQ(cache.filledSets(), sets.size());
+
+    // Filling one set past its 8 ways evicts instead of growing.
+    for (Addr i = 1; i <= 12; ++i)
+        cache.fill(4095 * 128 + i * kSetSpan);
+    EXPECT_EQ(cache.filledSets(), sets.size());
+    EXPECT_EQ(cache.stats().evictions, 5u);
+    EXPECT_TRUE(cache.contains(4095 * 128 + 12 * kSetSpan));
+    EXPECT_EQ(cache.auditTags(), "");
+}
+
 TEST(Cache, MissRateComputation)
 {
     Cache cache("t", tinyConfig());

@@ -142,6 +142,36 @@ TEST(Auditor, CorruptedL1TagArrayIsDetected)
                    [&] { gpu.auditNow(); });
 }
 
+TEST(Auditor, CorruptedL2TagArrayIsDetected)
+{
+    // The L2 partitions are the same Cache model as the L1s, so the
+    // auditor walks their tag arrays too, not only the SMs' L1s.
+    const auto kernel = smallKernel();
+    Gpu gpu(auditedGpu(), *kernel);
+    Cache& l2 = gpu.memsysForTest().l2ForTest(0);
+    const Addr bogus = Addr{0xdead} * 128;
+    l2.corruptTagForTest(0, 0, bogus);
+    l2.corruptTagForTest(0, 1, bogus);
+    expectSimError(SimErrorKind::kInvariant, "l2p0 set 0: duplicate tag",
+                   [&] { gpu.auditNow(); });
+}
+
+TEST(Auditor, CorruptedCacheSlotIndexIsDetected)
+{
+    // A set owns tag/payload storage through its slot index entry; two
+    // sets sharing one slot would alias each other's lines, a state no
+    // fill can produce.
+    const auto kernel = smallKernel();
+    Gpu gpu(auditedGpu(), *kernel);
+    gpu.step(5'000);
+    Cache& l1 = gpu.smForTest(0).l1Mutable();
+    ASSERT_GE(l1.filledSets(), 1u);
+    l1.corruptSlotForTest(0, 0);
+    l1.corruptSlotForTest(1, 0);
+    expectSimError(SimErrorKind::kInvariant, "is owned by another set",
+                   [&] { gpu.auditNow(); });
+}
+
 TEST(Auditor, SkippedIssueableCycleIsDetected)
 {
     // Corrupt the fast-forward ready-scan cache into claiming no warp

@@ -483,10 +483,11 @@ TEST(ServeDaemon, FailuresBecomeRowsAndAreNeverCached)
     ServeDaemon daemon(opts);
 
     // One good job, one invalid workload, one config that fails inside
-    // simulate(), and an L1 too small for one 8-way set of 128 B lines
+    // simulate(), an L1 too small for one 8-way set of 128 B lines
     // (zero sets: a divide by zero in the cache's set index unless the
-    // Gpu rejects it first) — keep-going semantics must deliver all
-    // four rows.
+    // Gpu rejects it first), and an L2 of 2^32 one-byte sets (each key
+    // inside its bound, but the count overflows the 32-bit set index
+    // to zero) — keep-going semantics must deliver all five rows.
     ServeJobSpec good = kmJob(32768);
     ServeJobSpec unknown;
     unknown.workload = "NOPE";
@@ -496,13 +497,18 @@ TEST(ServeDaemon, FailuresBecomeRowsAndAreNeverCached)
     broken.overrides.emplace_back("scheduler", "gto");
     broken.overrides.emplace_back("prefetcher", "sap");
     ServeJobSpec zero_sets = kmJob(1000);
+    ServeJobSpec overflow_sets = kmJob(32768);
+    overflow_sets.label = "l2-overflow";
+    overflow_sets.overrides.emplace_back("l2.sizeBytes", "4294967296");
+    overflow_sets.overrides.emplace_back("l2.ways", "1");
+    overflow_sets.overrides.emplace_back("l2.lineSize", "1");
 
     const std::string request =
-        runRequest({good, unknown, broken, zero_sets});
+        runRequest({good, unknown, broken, zero_sets, overflow_sets});
     const std::string first = daemon.handleRequest(request);
     const JsonValue doc = JsonValue::parse(first);
     const JsonValue& runs = doc.at("runs");
-    ASSERT_EQ(runs.size(), 4u);
+    ASSERT_EQ(runs.size(), 5u);
     EXPECT_EQ(runs.at(0).at("result").at("status").asString(), "ok");
     EXPECT_EQ(runs.at(1).at("result").at("status").asString(), "error");
     EXPECT_EQ(runs.at(1).at("result").at("error").at("kind").asString(),
@@ -515,6 +521,12 @@ TEST(ServeDaemon, FailuresBecomeRowsAndAreNeverCached)
     EXPECT_NE(zero_row.at("error").at("detail").asString().find(
                   "l1.sizeBytes=1000"),
               std::string::npos);
+    const JsonValue& overflow_row = runs.at(4).at("result");
+    EXPECT_EQ(overflow_row.at("status").asString(), "error");
+    EXPECT_EQ(overflow_row.at("error").at("kind").asString(), "ConfigError");
+    EXPECT_NE(overflow_row.at("error").at("detail").asString().find(
+                  "l2.sizeBytes=4294967296"),
+              std::string::npos);
 
     // Only the clean result was memoized: the repeat serves the good
     // job from cache and re-runs the broken one.
@@ -524,6 +536,7 @@ TEST(ServeDaemon, FailuresBecomeRowsAndAreNeverCached)
     EXPECT_TRUE(doc2.at("runs").at(0).at("cached").asBool());
     EXPECT_FALSE(doc2.at("runs").at(2).at("cached").asBool());
     EXPECT_FALSE(doc2.at("runs").at(3).at("cached").asBool());
+    EXPECT_FALSE(doc2.at("runs").at(4).at("cached").asBool());
     EXPECT_GT(daemon.simulationsRun(), after_first);
 
     // Malformed kernel text fails its own row, ahead of a healthy job:

@@ -230,21 +230,28 @@ TEST(Sim, RejectsUnbuildableMemoryGeometry)
 {
     // The cache and DRAM values pass the registry's bound on their key
     // but describe a cache the model cannot index (zero sets, a set
-    // count or line size that is not a power of two) or a DRAM row
-    // shorter than a line, so the Gpu rejects them before the first
-    // cycle; a one-line SLD block fails its key's own bound. Either way
-    // the ConfigError names the key.
+    // count or line size that is not a power of two, 2^32 sets that
+    // overflow the 32-bit set index) or a DRAM row shorter than a line,
+    // so the Gpu rejects them before the first cycle; a one-line SLD
+    // block fails its key's own bound. Either way the ConfigError names
+    // the first key of the case.
     const Workload wl = makeWorkload("SP", 0.05);
-    const std::vector<std::pair<std::string, std::string>> cases = {
-        {"l1.sizeBytes", "1000"}, {"l2.sizeBytes", "100"},
-        {"l1.lineSize", "96"},    {"l1.ways", "3"},
-        {"dram.rowBytes", "64"},  {"sld.linesPerBlock", "1"}};
-    for (const auto& [key, value] : cases) {
+    const std::vector<std::vector<std::pair<std::string, std::string>>>
+        cases = {{{"l1.sizeBytes", "1000"}},
+                 {{"l2.sizeBytes", "100"}},
+                 {{"l1.lineSize", "96"}},
+                 {{"l1.ways", "3"}},
+                 {{"l2.sizeBytes", "4294967296"},
+                  {"l2.ways", "1"},
+                  {"l2.lineSize", "1"}},
+                 {{"dram.rowBytes", "64"}},
+                 {{"sld.linesPerBlock", "1"}}};
+    for (const auto& overrides : cases) {
         GpuConfig cfg = smallGpu();
         cfg.mem.dram.rowBufferModel = true;
         cfg.prefetcher = "sld";
-        expectSimError(SimErrorKind::kConfig, key, [&] {
-            applyOverrides(cfg, {{key, value}});
+        expectSimError(SimErrorKind::kConfig, overrides.front().first, [&] {
+            applyOverrides(cfg, overrides);
             Gpu gpu(cfg, wl.kernel);
         });
     }
