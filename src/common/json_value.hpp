@@ -40,9 +40,7 @@ class JsonValue
 
     Type type() const { return type_; }
     bool isNull() const { return type_ == Type::kNull; }
-    bool isBool() const { return type_ == Type::kBool; }
     bool isNumber() const { return type_ == Type::kNumber; }
-    bool isString() const { return type_ == Type::kString; }
     bool isArray() const { return type_ == Type::kArray; }
     bool isObject() const { return type_ == Type::kObject; }
 

@@ -16,10 +16,8 @@
  * other stat. Sampling is pure observation: enabling metrics changes
  * no simulation outcome (tests/ff_equivalence_test.cpp pins this).
  *
- * Unlike the reporting-side Histogram in stats.hpp (double-valued,
- * overflow-only), MetricsHistogram is integer-valued with a distinct
- * underflow bin, and its bucket arithmetic is exact at the edges of
- * the uint64 range.
+ * MetricsHistogram is integer-valued with a distinct underflow bin,
+ * and its bucket arithmetic is exact at the edges of the uint64 range.
  */
 
 #ifndef APRES_COMMON_METRICS_HPP

@@ -1,42 +1,11 @@
 /**
  * @file
- * Implementation of histogram and named stat set.
+ * Implementation of the named stat set.
  */
 
 #include "stats.hpp"
 
-#include <cassert>
-#include <cmath>
-
 namespace apres {
-
-Histogram::Histogram(double bucket_width, std::size_t num_buckets)
-    : width(bucket_width), buckets(num_buckets + 1, 0)
-{
-    assert(bucket_width > 0.0);
-    assert(num_buckets > 0);
-}
-
-void
-Histogram::add(double x)
-{
-    std::size_t idx = buckets.size() - 1; // overflow by default
-    if (x >= 0.0) {
-        const auto b = static_cast<std::size_t>(x / width);
-        if (b < buckets.size() - 1)
-            idx = b;
-    }
-    ++buckets[idx];
-    ++samples;
-}
-
-double
-Histogram::bucketFraction(std::size_t i) const
-{
-    if (samples == 0)
-        return 0.0;
-    return static_cast<double>(buckets.at(i)) / static_cast<double>(samples);
-}
 
 void
 StatSet::set(const std::string& name, double value)

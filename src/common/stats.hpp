@@ -4,8 +4,8 @@
  *
  * Hot paths keep plain integer counters inside module-local stat
  * structs; this header provides the aggregation side: a running
- * mean/min/max accumulator, a fixed-bucket histogram, and a named
- * key/value set used when a simulation run is reported or compared.
+ * mean/min/max accumulator and a named key/value set used when a
+ * simulation run is reported or compared.
  */
 
 #ifndef APRES_COMMON_STATS_HPP
@@ -15,7 +15,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 namespace apres {
 
@@ -70,39 +69,6 @@ class RunningStat
     double total = 0.0;
     double lo = 0.0;
     double hi = 0.0;
-};
-
-/**
- * Histogram over fixed-width buckets with an overflow bucket.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param bucket_width width of each bucket (> 0)
-     * @param num_buckets  number of regular buckets before overflow
-     */
-    Histogram(double bucket_width, std::size_t num_buckets);
-
-    /** Record one sample. */
-    void add(double x);
-
-    /** Count in bucket @p i (the last bucket is the overflow bucket). */
-    std::uint64_t bucketCount(std::size_t i) const { return buckets.at(i); }
-
-    /** Number of buckets including overflow. */
-    std::size_t numBuckets() const { return buckets.size(); }
-
-    /** Total number of samples. */
-    std::uint64_t count() const { return samples; }
-
-    /** Fraction of samples in bucket @p i; 0 when empty. */
-    double bucketFraction(std::size_t i) const;
-
-  private:
-    double width;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t samples = 0;
 };
 
 /**

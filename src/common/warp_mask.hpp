@@ -211,9 +211,7 @@ class WarpMask
         for (std::size_t word = high_.size(); word-- > 0;)
             appendWordHex(out, high_[word], started);
         appendWordHex(out, low_, started);
-        if (!started)
-            out = "0";
-        return out;
+        return started ? out : std::string("0");
     }
 
   private:

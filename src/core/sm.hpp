@@ -239,12 +239,6 @@ class Sm final : public SmContext,
      */
     std::string stallReport(Cycle now) const;
 
-    /** Arrived-warp count of barrier @p block (tests/auditor). */
-    int barrierArrivalCount(int block) const
-    {
-        return barrierArrivals.at(static_cast<std::size_t>(block));
-    }
-
     /**
      * TEST HOOK: corrupt the ready-scan cache so the SM claims to be
      * asleep until @p fake_wake regardless of actual warp state. Used

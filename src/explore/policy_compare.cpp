@@ -5,31 +5,14 @@
 
 #include "policy_compare.hpp"
 
-#include <memory>
-
 #include "common/csv.hpp"
 #include "common/json.hpp"
 #include "common/json_value.hpp"
 #include "common/parse.hpp"
 #include "common/sim_error.hpp"
-#include "isa/kernel_text.hpp"
-#include "serve/protocol.hpp"
-#include "serve/result_cache.hpp"
-#include "sim/config_registry.hpp"
-#include "sim/runner.hpp"
-#include "workloads/workload.hpp"
+#include "serve/batch.hpp"
 
 namespace apres {
-namespace {
-
-struct CellRef
-{
-    std::size_t kernel = 0;
-    std::size_t policy = 0;
-    std::string cacheKey; ///< empty when caching is off
-};
-
-} // namespace
 
 CompareReport
 runComparison(const CompareOptions& options)
@@ -39,106 +22,62 @@ runComparison(const CompareOptions& options)
     if (options.kernels.empty())
         throwConfigError("compare: need at least one kernel");
 
-    // Build every kernel once; cells share them immutably.
-    std::vector<std::shared_ptr<const Kernel>> kernels;
-    kernels.reserve(options.kernels.size());
-    for (const CompareKernel& spec : options.kernels) {
-        if (!spec.workload.empty()) {
-            kernels.push_back(std::make_shared<const Kernel>(
-                makeWorkload(spec.workload, spec.scale).kernel));
-        } else if (!spec.kernelText.empty()) {
-            kernels.push_back(std::make_shared<const Kernel>(
-                parseKernelText(spec.kernelText)));
-        } else {
-            throwConfigError("compare: kernel '" + spec.label +
-                             "' has neither a workload nor kernel text");
-        }
-    }
-
     CompareReport report;
     for (const ComparePolicy& p : options.policies)
         report.policies.push_back(p.label());
-    for (const CompareKernel& k : options.kernels)
+    for (const ServeJobSpec& k : options.kernels)
         report.kernels.push_back(k.label);
 
-    std::unique_ptr<ResultCache> cache;
-    if (!options.cacheDir.empty())
-        cache = std::make_unique<ResultCache>(options.cacheDir);
-
-    // ipc[kernel][policy]
-    std::vector<std::vector<double>> ipc(
-        options.kernels.size(),
-        std::vector<double>(options.policies.size(), 0.0));
-
-    RunnerOptions runner_opts;
-    runner_opts.threads = options.threads;
-    SweepRunner runner(runner_opts);
-    std::vector<CellRef> submitted;
-
-    for (std::size_t ki = 0; ki < options.kernels.size(); ++ki) {
-        for (std::size_t pi = 0; pi < options.policies.size(); ++pi) {
-            GpuConfig cfg;
-            ConfigRegistry reg(cfg);
-            for (const auto& [key, value] : options.overrides)
-                reg.set(key, value);
-            reg.set("scheduler", options.policies[pi].scheduler);
-            reg.set("prefetcher", options.policies[pi].prefetcher);
-
-            std::string key;
-            if (cache) {
-                ServeJobSpec spec;
-                spec.workload = options.kernels[ki].workload;
-                spec.scale = options.kernels[ki].scale;
-                spec.kernelText = options.kernels[ki].kernelText;
-                key = computeCacheKey(serveFingerprint(),
-                                      kernelFingerprint(spec),
-                                      reg.semanticSnapshot());
-                if (const auto payload = cache->lookup(key)) {
-                    const JsonValue doc = JsonValue::parse(*payload);
-                    ipc[ki][pi] = doc.at("stats").at("sim.ipc").asDouble();
-                    ++report.cacheHits;
-                    continue;
-                }
-            }
-
-            SweepJob job;
-            job.label = options.kernels[ki].label + "/" +
-                        options.policies[pi].label();
-            job.config = cfg;
-            job.kernel = kernels[ki];
-            runner.submit(std::move(job));
-            submitted.push_back({ki, pi, key});
+    // One job per (kernel, policy) cell, kernel-major.
+    std::vector<ServeJobSpec> cells;
+    for (const ServeJobSpec& kernel : options.kernels) {
+        for (const ComparePolicy& policy : options.policies) {
+            ServeJobSpec cell = kernel;
+            cell.label = kernel.label + "/" + policy.label();
+            cell.overrides.insert(cell.overrides.begin(),
+                                  options.overrides.begin(),
+                                  options.overrides.end());
+            cell.overrides.emplace_back("scheduler", policy.scheduler);
+            cell.overrides.emplace_back("prefetcher", policy.prefetcher);
+            cells.push_back(std::move(cell));
         }
     }
 
-    if (!submitted.empty()) {
-        const std::vector<SweepResult> results = runner.runAll();
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const RunResult& r = results[i].result;
-            if (r.status != "ok") {
-                // A comparison with a missing cell would silently
-                // report a partial table; fail the whole run instead.
-                throwConfigError("compare: job '" + results[i].label +
-                                 "' failed (" + r.errorKind + ": " +
-                                 r.errorDetail + ")");
-            }
-            const CellRef& ref = submitted[i];
-            ipc[ref.kernel][ref.policy] = r.ipc;
+    // Without a cache directory the cache is memory-only: nothing
+    // outlives the comparison.
+    ResultCache cache(options.cacheDir);
+    RunnerOptions runner;
+    runner.threads = options.threads;
+    const std::vector<CachedRun> runs =
+        runCachedBatch(cells, serveFingerprint(), cache, runner);
+
+    // Every cell's status and IPC come from its payload, hit or fresh.
+    std::vector<double> ipc(runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const JsonValue doc = JsonValue::parse(runs[i].payload);
+        if (doc.at("status").asString() != "ok") {
+            const JsonValue& error = doc.at("error");
+            throwConfigError("compare: job '" + cells[i].label +
+                             "' failed (" + error.at("kind").asString() +
+                             ": " + error.at("detail").asString() + ")");
+        }
+        ipc[i] = doc.at("stats").at("sim.ipc").asDouble();
+        if (runs[i].cached)
+            ++report.cacheHits;
+        else
             ++report.simulations;
-            if (cache && !ref.cacheKey.empty())
-                cache->store(ref.cacheKey, serializeRunResult(r));
-        }
     }
 
+    const std::size_t np = options.policies.size();
     for (std::size_t ki = 0; ki < options.kernels.size(); ++ki) {
-        for (std::size_t a = 0; a < options.policies.size(); ++a) {
-            for (std::size_t b = a + 1; b < options.policies.size(); ++b) {
+        for (std::size_t a = 0; a < np; ++a) {
+            for (std::size_t b = a + 1; b < np; ++b) {
                 ComparePair pair;
                 pair.kernel = options.kernels[ki].label;
                 pair.baseline = options.policies[a].label();
                 pair.candidate = options.policies[b].label();
-                pair.ipcBaseline = ipc[ki][a];
-                pair.ipcCandidate = ipc[ki][b];
+                pair.ipcBaseline = ipc[ki * np + a];
+                pair.ipcCandidate = ipc[ki * np + b];
                 if (pair.ipcBaseline <= 0.0) {
                     throwConfigError("compare: baseline " + pair.baseline +
                                      " on " + pair.kernel +

@@ -8,11 +8,13 @@
  * cell has exactly one result and repeating it measures nothing. Per
  * pair the report gives both IPCs and speedup = candidate / baseline.
  *
- * Runs go through the SweepRunner thread pool (results in submission
- * order, so parallelism never changes the report) and are optionally
- * memoized in the serve result cache: the cell's cache key is the
- * same computeCacheKey() the daemon uses, so a warm re-run of a
- * comparison costs zero simulations. Reports carry no wall times.
+ * Every cell is one ServeJobSpec run through the daemon's own
+ * cached-batch path (runCachedBatch, serve/batch.hpp): the SweepRunner
+ * thread pool returns results in submission order, so parallelism
+ * never changes the report, and with a cache directory the cells are
+ * memoized under the daemon's cache keys, so a warm re-run costs zero
+ * simulations and a cell either front end stored is a hit for the
+ * other. Reports carry no wall times.
  */
 
 #ifndef APRES_EXPLORE_POLICY_COMPARE_HPP
@@ -23,6 +25,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "serve/protocol.hpp"
 
 namespace apres {
 
@@ -36,20 +40,17 @@ struct ComparePolicy
     std::string label() const { return scheduler + "+" + prefetcher; }
 };
 
-/** One workload under comparison: named workload or inline text. */
-struct CompareKernel
-{
-    std::string label;
-    std::string workload;   ///< Table IV abbreviation; empty for text
-    double scale = 1.0;     ///< named-workload trip multiplier
-    std::string kernelText; ///< .kt text (corpus kernels); empty for named
-};
-
 /** Harness options. */
 struct CompareOptions
 {
     std::vector<ComparePolicy> policies; ///< >= 2
-    std::vector<CompareKernel> kernels;  ///< >= 1
+
+    /**
+     * Workloads under comparison (>= 1): a named workload or inline
+     * kernel text, with its own overrides applied after the shared
+     * ones below.
+     */
+    std::vector<ServeJobSpec> kernels;
 
     /** Dotted overrides applied to every cell (machine shaping). */
     std::vector<std::pair<std::string, std::string>> overrides;
@@ -90,8 +91,9 @@ struct CompareReport
 
 /**
  * Run the comparison. Throws SimError(kConfig) on malformed options
- * and propagates the first simulation failure (a comparison must not
- * silently drop error rows).
+ * and on the first failed cell in (kernel, policy) order, naming the
+ * cell with its error kind and detail (a comparison must not silently
+ * drop error rows).
  */
 CompareReport runComparison(const CompareOptions& options);
 

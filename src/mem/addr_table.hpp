@@ -20,10 +20,9 @@
  * MSHR entries are erased on every fill, billions of times per
  * simulation.
  *
- * Neither container ever iterates in hash order on a simulation path
- * (only lookup / insert / erase), so the layout cannot perturb stats:
- * the bitwise-identity contract of ff_equivalence is preserved by
- * construction.
+ * Neither container can be iterated (only lookup / insert / erase),
+ * so the hash layout cannot perturb stats: the bitwise-identity
+ * contract of ff_equivalence is preserved by construction.
  */
 
 #ifndef APRES_MEM_ADDR_TABLE_HPP
@@ -65,6 +64,22 @@ tableCapacityFor(std::size_t n)
         cap <<= 1;
     return cap;
 }
+
+/** One AddrMap slot. An empty value takes no space, so a set's slot
+ *  is the bare 8-byte key. */
+template <typename V>
+struct AddrSlot
+{
+    Addr key = kInvalidAddr;
+    [[no_unique_address]] V value{};
+};
+
+/** The value of a set's slots. */
+struct Empty
+{
+};
+
+static_assert(sizeof(AddrSlot<Empty>) == sizeof(Addr));
 
 } // namespace detail
 
@@ -196,24 +211,8 @@ class AddrMap
     /** Slot count (tests observe growth through this). */
     std::size_t capacity() const { return slots_.size(); }
 
-    /** Visit every (key, value) pair in unspecified order. Not used on
-     *  any simulation path (see file comment). */
-    template <typename Fn>
-    void
-    forEach(Fn&& fn) const
-    {
-        for (const Slot& slot : slots_) {
-            if (slot.key != kInvalidAddr)
-                fn(slot.key, slot.value);
-        }
-    }
-
   private:
-    struct Slot
-    {
-        Addr key = kInvalidAddr;
-        V value{};
-    };
+    using Slot = detail::AddrSlot<V>;
 
     void
     rebuild(std::size_t capacity)
@@ -242,8 +241,8 @@ class AddrMap
 };
 
 /**
- * Open-addressing set of line addresses — AddrMap's probing scheme
- * with 8-byte slots. Backs the cache's miss-taxonomy residency sets,
+ * Open-addressing set of line addresses: an AddrMap whose slots are
+ * the bare 8-byte key. Backs the cache's miss-taxonomy residency sets,
  * which are hit on every demand miss. It starts small and grows by
  * doubling with the lines a run touches, never with the modelled
  * cache capacity.
@@ -251,99 +250,18 @@ class AddrMap
 class AddrSet
 {
   public:
-    explicit AddrSet(std::size_t expected = 8) { rebuild(expected); }
-
-    bool
-    contains(Addr key) const
-    {
-        assert(key != kInvalidAddr);
-        std::size_t i = detail::mixAddr(key) & mask_;
-        while (true) {
-            if (slots_[i] == key)
-                return true;
-            if (slots_[i] == kInvalidAddr)
-                return false;
-            i = (i + 1) & mask_;
-        }
-    }
+    bool contains(Addr key) const { return map_.contains(key); }
 
     /** @return true when newly inserted. */
-    bool
-    insert(Addr key)
-    {
-        assert(key != kInvalidAddr);
-        if (size_ + 1 > growAt_)
-            rebuild(slots_.size() * 2);
-        std::size_t i = detail::mixAddr(key) & mask_;
-        while (true) {
-            if (slots_[i] == key)
-                return false;
-            if (slots_[i] == kInvalidAddr) {
-                slots_[i] = key;
-                ++size_;
-                return true;
-            }
-            i = (i + 1) & mask_;
-        }
-    }
+    bool insert(Addr key) { return map_.insert(key).second; }
 
     /** @return true when the key was present (backward-shift erase). */
-    bool
-    erase(Addr key)
-    {
-        assert(key != kInvalidAddr);
-        std::size_t i = detail::mixAddr(key) & mask_;
-        while (true) {
-            if (slots_[i] == kInvalidAddr)
-                return false;
-            if (slots_[i] == key)
-                break;
-            i = (i + 1) & mask_;
-        }
-        std::size_t hole = i;
-        std::size_t next = (hole + 1) & mask_;
-        while (slots_[next] != kInvalidAddr) {
-            const std::size_t home = detail::mixAddr(slots_[next]) & mask_;
-            if (((next - home) & mask_) >= ((next - hole) & mask_)) {
-                slots_[hole] = slots_[next];
-                hole = next;
-            }
-            next = (next + 1) & mask_;
-        }
-        slots_[hole] = kInvalidAddr;
-        --size_;
-        return true;
-    }
+    bool erase(Addr key) { return map_.erase(key); }
 
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-    std::size_t capacity() const { return slots_.size(); }
+    std::size_t size() const { return map_.size(); }
 
   private:
-    void
-    rebuild(std::size_t capacity)
-    {
-        capacity = detail::tableCapacityFor(capacity);
-        std::vector<Addr> old = std::move(slots_);
-        slots_.assign(capacity, kInvalidAddr);
-        mask_ = capacity - 1;
-        growAt_ = capacity * 7 / 10;
-        size_ = 0;
-        for (Addr key : old) {
-            if (key == kInvalidAddr)
-                continue;
-            std::size_t i = detail::mixAddr(key) & mask_;
-            while (slots_[i] != kInvalidAddr)
-                i = (i + 1) & mask_;
-            slots_[i] = key;
-            ++size_;
-        }
-    }
-
-    std::vector<Addr> slots_;
-    std::size_t mask_ = 0;
-    std::size_t growAt_ = 0;
-    std::size_t size_ = 0;
+    AddrMap<detail::Empty> map_;
 };
 
 } // namespace apres

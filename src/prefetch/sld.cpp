@@ -13,6 +13,7 @@ namespace apres {
 SldPrefetcher::SldPrefetcher(const SldConfig& config) : cfg(config)
 {
     assert(cfg.linesPerBlock >= 2);
+    assert(cfg.linesPerBlock <= 32); // width of Entry::accessedMask
     assert(cfg.tableEntries >= 1);
     table.resize(static_cast<std::size_t>(cfg.tableEntries));
 }

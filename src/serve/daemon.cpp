@@ -24,10 +24,7 @@
 #include "common/json_value.hpp"
 #include "common/log.hpp"
 #include "common/sim_error.hpp"
-#include "isa/kernel_text.hpp"
-#include "sim/config_registry.hpp"
-#include "sim/runner.hpp"
-#include "workloads/workload.hpp"
+#include "serve/batch.hpp"
 
 namespace apres {
 
@@ -202,22 +199,6 @@ writeResponse(int fd, const std::string& text, std::uint64_t timeout_ms,
     }
     return ReadOutcome::kOk;
 }
-
-bool
-knownWorkload(const std::string& name)
-{
-    const auto& names = allWorkloadNames();
-    return std::find(names.begin(), names.end(), name) != names.end();
-}
-
-/** Per-job batch bookkeeping. */
-struct BatchEntry
-{
-    std::string key;      ///< cache key; empty when the job is invalid
-    std::string payload;  ///< serialized result (hit or fresh)
-    bool cached = false;
-    std::size_t runIndex = static_cast<std::size_t>(-1); ///< miss slot
-};
 
 } // namespace
 
@@ -660,79 +641,20 @@ ServeDaemon::handleRequest(const std::string& request_json)
 std::string
 ServeDaemon::handleRun(const ServeRequest& request)
 {
-    std::vector<BatchEntry> entries(request.jobs.size());
+    RunnerOptions runner;
+    runner.threads = opts_.threads;
+    runner.retries = request.retries;
+    runner.jobTimeoutSeconds = request.timeoutSeconds;
+    const std::vector<CachedRun> runs =
+        runCachedBatch(request.jobs, fingerprint_, cache_, runner);
+    simulations_.fetch_add(
+        static_cast<std::uint64_t>(std::count_if(
+            runs.begin(), runs.end(),
+            [](const CachedRun& run) { return run.simulated(); })),
+        std::memory_order_relaxed);
 
-    // Phase 1: resolve each job to a cache key and try the cache.
-    // Invalid jobs (bad override, unknown workload, malformed kernel
-    // text) become error payloads immediately — they are never keyed,
-    // cached or executed.
-    RunnerOptions runner_opts;
-    runner_opts.threads = opts_.threads;
-    runner_opts.keepGoing = true; // errors become rows, batch completes
-    runner_opts.retries = request.retries;
-    runner_opts.jobTimeoutSeconds = request.timeoutSeconds;
-    SweepRunner runner(runner_opts);
-    std::vector<std::size_t> missEntry; // runner index -> entry index
-
-    for (std::size_t i = 0; i < request.jobs.size(); ++i) {
-        const ServeJobSpec& spec = request.jobs[i];
-        BatchEntry& entry = entries[i];
-        try {
-            SweepJob job;
-            job.label = spec.label;
-            ConfigRegistry registry(job.config);
-            for (const auto& [key, value] : spec.overrides)
-                registry.set(key, value);
-
-            std::shared_ptr<const Kernel> kernel;
-            if (!spec.kernelText.empty()) {
-                kernel = std::make_shared<const Kernel>(
-                    parseKernelText(spec.kernelText));
-            } else {
-                if (!knownWorkload(spec.workload))
-                    throwConfigError("unknown workload \"" +
-                                     spec.workload + "\"");
-                kernel = std::make_shared<const Kernel>(
-                    makeWorkload(spec.workload, spec.scale).kernel);
-            }
-            job.kernel = std::move(kernel);
-
-            entry.key = computeCacheKey(fingerprint_,
-                                        kernelFingerprint(spec),
-                                        registry.semanticSnapshot());
-            if (std::optional<std::string> hit = cache_.lookup(entry.key)) {
-                entry.cached = true;
-                entry.payload = std::move(*hit);
-            } else {
-                entry.runIndex = runner.submit(std::move(job));
-                missEntry.push_back(i);
-            }
-        } catch (const SimError& e) {
-            RunResult r;
-            r.status = "error";
-            r.errorKind = e.kindName();
-            r.errorDetail = e.detail();
-            entry.payload = serializeRunResult(r);
-        }
-    }
-
-    // Phase 2: simulate the misses across the worker pool.
-    if (runner.size() > 0) {
-        simulations_.fetch_add(runner.size(), std::memory_order_relaxed);
-        const std::vector<SweepResult> results = runner.runAll();
-        for (std::size_t m = 0; m < missEntry.size(); ++m) {
-            BatchEntry& entry = entries[missEntry[m]];
-            const RunResult& r = results[entry.runIndex].result;
-            entry.payload = serializeRunResult(r);
-            // Only clean results are memoized: an error or timeout is
-            // environmental/diagnostic and must re-run next time.
-            if (r.status == "ok")
-                cache_.store(entry.key, entry.payload);
-        }
-    }
-
-    // Phase 3: assemble the response; cached payloads are spliced
-    // verbatim so repeated requests stay bitwise identical.
+    // Cached payloads are spliced verbatim so repeated requests stay
+    // bitwise identical.
     const ResultCacheStats stats = cache_.stats();
     std::ostringstream os;
     JsonWriter json(os);
@@ -746,13 +668,13 @@ ServeDaemon::handleRun(const ServeRequest& request)
     json.endObject();
     json.field("simulations", simulationsRun());
     json.beginArray("runs");
-    for (std::size_t i = 0; i < entries.size(); ++i) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
         json.beginObject();
         json.field("label", request.jobs[i].label);
-        if (!entries[i].key.empty())
-            json.field("key", entries[i].key);
-        json.field("cached", entries[i].cached);
-        json.raw("result", entries[i].payload);
+        if (!runs[i].key.empty())
+            json.field("key", runs[i].key);
+        json.field("cached", runs[i].cached);
+        json.raw("result", runs[i].payload);
         json.endObject();
     }
     json.endArray();

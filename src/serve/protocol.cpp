@@ -208,12 +208,9 @@ overloadedResponse(const std::string& reason,
     return os.str();
 }
 
-std::string
-serializeRunResult(const RunResult& r)
+void
+writeRunResultFields(JsonWriter& json, const RunResult& r)
 {
-    std::ostringstream os;
-    JsonWriter json(os);
-    json.beginObject();
     json.field("completed", r.completed);
     json.field("status", r.status);
     if (r.status != "ok") {
@@ -231,6 +228,15 @@ serializeRunResult(const RunResult& r)
     for (const auto& [key, value] : stats.entries())
         json.field(key, value);
     json.endObject();
+}
+
+std::string
+serializeRunResult(const RunResult& r)
+{
+    std::ostringstream os;
+    JsonWriter json(os);
+    json.beginObject();
+    writeRunResultFields(json, r);
     json.endObject();
     json.finish();
     return os.str();

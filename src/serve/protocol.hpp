@@ -138,10 +138,17 @@ std::string computeCacheKey(
     const std::map<std::string, std::string>& semantic_config);
 
 /**
+ * Write one RunResult's fields (completed, status, error when not ok,
+ * the echoed config, the flattened stats) into the object @p json has
+ * open. serializeRunResult and apres_sim --json both write results
+ * through it.
+ */
+void writeRunResultFields(class JsonWriter& json, const RunResult& result);
+
+/**
  * Canonical serialization of one RunResult: a complete JSON object
- * (completed/status/error, echoed config, flattened stats) with
- * canonical doubles, suitable both as a response payload and as the
- * bitwise-stable cached document.
+ * holding writeRunResultFields with canonical doubles, suitable both
+ * as a response payload and as the bitwise-stable cached document.
  */
 std::string serializeRunResult(const RunResult& result);
 

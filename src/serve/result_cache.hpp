@@ -152,9 +152,6 @@ class ResultCache
     /** Current rung of the degradation ladder. */
     CacheDiskMode diskMode() const;
 
-    const std::string& diskDir() const { return diskDir_; }
-    const CacheLimits& limits() const { return limits_; }
-
   private:
     std::string diskPath(const std::string& key) const;
     std::string journalPath() const;

@@ -5,125 +5,23 @@
 
 #include "serve_config.hpp"
 
-#include <limits>
-
-#include "common/parse.hpp"
-#include "common/sim_error.hpp"
-
 namespace apres {
 
-namespace {
-
-/** Strict u64 in [@p min_value, @p max_value]; throws naming @p key. */
-std::uint64_t
-parseU64Key(const std::string& key, const std::string& value,
-            std::uint64_t min_value, std::uint64_t max_value)
-{
-    std::uint64_t parsed = 0;
-    if (!parseUint64Strict(value, &parsed))
-        throwConfigError("serve config key \"" + key +
-                         "\": not an unsigned integer: \"" + value +
-                         "\"");
-    if (parsed < min_value || parsed > max_value) {
-        throwConfigError("serve config key \"" + key + "\": value " +
-                         value + " out of range [" +
-                         std::to_string(min_value) + ", " +
-                         std::to_string(max_value) + "]");
-    }
-    return parsed;
-}
-
-} // namespace
-
 ServeConfigRegistry::ServeConfigRegistry(ServeOptions& opts)
+    : KeyRegistry("apres_serve --list-keys prints the full namespace")
 {
-    const auto bindString = [this](const std::string& key,
-                                   std::string& field) {
-        entries_[key] = Entry{
-            [&field](const std::string& v) { field = v; },
-            [&field] { return field; },
-        };
-    };
-    const auto bindInt = [this](const std::string& key, int& field,
-                                int min_value, int max_value) {
-        entries_[key] = Entry{
-            [key, &field, min_value, max_value](const std::string& v) {
-                field = static_cast<int>(parseU64Key(
-                    key, v, static_cast<std::uint64_t>(min_value),
-                    static_cast<std::uint64_t>(max_value)));
-            },
-            [&field] { return std::to_string(field); },
-        };
-    };
-    const auto bindU64 = [this](const std::string& key,
-                                std::uint64_t& field,
-                                std::uint64_t min_value,
-                                std::uint64_t max_value) {
-        entries_[key] = Entry{
-            [key, &field, min_value, max_value](const std::string& v) {
-                field = parseU64Key(key, v, min_value, max_value);
-            },
-            [&field] { return std::to_string(field); },
-        };
-    };
-
-    constexpr std::uint64_t kU64Max =
-        std::numeric_limits<std::uint64_t>::max();
-
-    bindString("serve.socket", opts.socketPath);
-    bindString("serve.cacheDir", opts.cacheDir);
-    bindString("serve.fingerprint", opts.fingerprint);
-    bindInt("serve.threads", opts.threads, 0, 4096);
-    bindInt("serve.queueDepth", opts.queueDepth, 1, 1 << 20);
-    bindInt("serve.dispatchThreads", opts.dispatchThreads, 1, 256);
-    bindU64("serve.requestDeadlineMs", opts.requestDeadlineMs, 0,
-            kU64Max);
-    bindU64("serve.retryAfterMs", opts.retryAfterMs, 1, 3600000);
-    bindU64("serve.maxRequestBytes", opts.maxRequestBytes, 1, kU64Max);
-    bindU64("serve.ioTimeoutMs", opts.ioTimeoutMs, 0, kU64Max);
-    bindU64("serve.cacheMaxBytes", opts.cacheMaxBytes, 0, kU64Max);
-    bindU64("serve.cacheMaxEntries", opts.cacheMaxEntries, 0, kU64Max);
-}
-
-const ServeConfigRegistry::Entry&
-ServeConfigRegistry::entryFor(const std::string& key) const
-{
-    const auto it = entries_.find(key);
-    if (it == entries_.end())
-        throwConfigError("unknown serve config key \"" + key +
-                         "\" (apres_serve --list-keys)");
-    return it->second;
-}
-
-void
-ServeConfigRegistry::set(const std::string& key, const std::string& value)
-{
-    entryFor(key).set(value);
-}
-
-std::string
-ServeConfigRegistry::get(const std::string& key) const
-{
-    return entryFor(key).get();
-}
-
-std::vector<std::string>
-ServeConfigRegistry::keys() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto& [key, entry] : entries_)
-        out.push_back(key);
-    return out;
-}
-
-std::map<std::string, std::string>
-ServeConfigRegistry::snapshot() const
-{
-    std::map<std::string, std::string> out;
-    for (const auto& [key, entry] : entries_)
-        out.emplace(key, entry.get());
-    return out;
+    addString("serve.socket", opts.socketPath);
+    addString("serve.cacheDir", opts.cacheDir);
+    addString("serve.fingerprint", opts.fingerprint);
+    addInt("serve.threads", opts.threads, 0, 4096);
+    addInt("serve.queueDepth", opts.queueDepth, 1, 1 << 20);
+    addInt("serve.dispatchThreads", opts.dispatchThreads, 1, 256);
+    addInt("serve.requestDeadlineMs", opts.requestDeadlineMs, 0);
+    addInt("serve.retryAfterMs", opts.retryAfterMs, 1, 3600000);
+    addInt("serve.maxRequestBytes", opts.maxRequestBytes, 1);
+    addInt("serve.ioTimeoutMs", opts.ioTimeoutMs, 0);
+    addInt("serve.cacheMaxBytes", opts.cacheMaxBytes, 0);
+    addInt("serve.cacheMaxEntries", opts.cacheMaxEntries, 0);
 }
 
 } // namespace apres

@@ -1,17 +1,13 @@
 /**
  * @file
- * Dotted-key string access to every ServeOptions field — the serving
- * layer's mirror of ConfigRegistry (sim/config_registry.hpp).
+ * Dotted-key string access to every ServeOptions field: the serve.*
+ * key namespace, bound through the same KeyRegistry machinery
+ * (common/key_registry.hpp) as the GpuConfig keys.
  *
  * One override path for both front ends:
  *
  *  - CLI sugar:    apres_serve --queue-depth 32
  *  - generic:      apres_serve --set serve.queueDepth=32
- *
- * Parsing is strict (parse.hpp): garbage, wrong types, out-of-range
- * and unknown keys throw SimError(kConfig) with the offending key in
- * the message, never silently ignored. snapshot() serializes the full
- * serving configuration back to strings for logs and diagnostics.
  *
  * The registry holds a reference to the options it was built over and
  * must not outlive them; construction is cheap, so build one on
@@ -21,48 +17,17 @@
 #ifndef APRES_SERVE_SERVE_CONFIG_HPP
 #define APRES_SERVE_SERVE_CONFIG_HPP
 
-#include <functional>
-#include <map>
-#include <string>
-#include <vector>
-
+#include "common/key_registry.hpp"
 #include "serve/daemon.hpp"
 
 namespace apres {
 
 /** String-keyed view over one ServeOptions. */
-class ServeConfigRegistry
+class ServeConfigRegistry : public KeyRegistry
 {
   public:
     /** Register every field of @p opts (must outlive the registry). */
     explicit ServeConfigRegistry(ServeOptions& opts);
-
-    /**
-     * Set @p key from @p value. Throws SimError(kConfig) on unknown
-     * key, parse failure or range violation; the options are
-     * untouched in that case.
-     */
-    void set(const std::string& key, const std::string& value);
-
-    /** Current value of @p key; throws SimError(kConfig) if unknown. */
-    std::string get(const std::string& key) const;
-
-    /** All keys, sorted. */
-    std::vector<std::string> keys() const;
-
-    /** Full configuration as sorted key -> value strings. */
-    std::map<std::string, std::string> snapshot() const;
-
-  private:
-    struct Entry
-    {
-        std::function<void(const std::string&)> set;
-        std::function<std::string()> get;
-    };
-
-    const Entry& entryFor(const std::string& key) const;
-
-    std::map<std::string, Entry> entries_;
 };
 
 } // namespace apres

@@ -8,16 +8,12 @@
  *  - config files: apres_sim --config paper.cfg   (key = value lines)
  *  - programmatic: applyOverrides(cfg, {{"l1.sizeBytes", "65536"}})
  *
- * The registry binds each key to a typed setter/getter over one
- * GpuConfig instance. Parsing is strict (parse.hpp): garbage, wrong
- * types, out-of-range and unknown keys throw SimError(kConfig) with
- * the offending key in the message, never silently ignored.
- * Structural keys additionally carry upper bounds, so an absurd value
- * (a 2^31-way cache, a zero-cycle watchdog) is rejected at parse time
- * instead of failing deep inside a run.
- * snapshot() serializes the full configuration back to
- * strings, which is how results echo the configuration that produced
- * them (RunResult::config, the --json output).
+ * The parsing, bounds and error rules are KeyRegistry's
+ * (common/key_registry.hpp); this file holds only the GpuConfig
+ * bindings and the semantic/observation split. snapshot() serializes
+ * the full configuration back to strings, which is how results echo
+ * the configuration that produced them (RunResult::config, the --json
+ * output).
  *
  * The registry holds references into the config it was built over and
  * must not outlive it; construction is cheap, so build one on demand.
@@ -26,15 +22,12 @@
 #ifndef APRES_SIM_CONFIG_REGISTRY_HPP
 #define APRES_SIM_CONFIG_REGISTRY_HPP
 
-#include <cstdint>
-#include <functional>
-#include <initializer_list>
-#include <limits>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/key_registry.hpp"
 #include "mem/cache.hpp"
 #include "sim/config.hpp"
 
@@ -65,54 +58,14 @@ enum class ConfigKeyKind {
 };
 
 /**
- * String-keyed view over one GpuConfig.
+ * String-keyed view over one GpuConfig: a binding per field plus the
+ * semantic/observation split of every key.
  */
-class ConfigRegistry
+class ConfigRegistry : public KeyRegistry
 {
   public:
     /** Register every field of @p config (must outlive the registry). */
     explicit ConfigRegistry(GpuConfig& config);
-
-    /**
-     * Set @p key from @p value. Returns false and fills @p error
-     * (never null) on unknown key, parse failure or range violation;
-     * the config is untouched in that case.
-     */
-    bool trySet(const std::string& key, const std::string& value,
-                std::string* error);
-
-    /** Like trySet, but throws SimError(kConfig) on any failure. */
-    void set(const std::string& key, const std::string& value);
-
-    /**
-     * Current value of @p key as a string; throws SimError(kConfig)
-     * on unknown key.
-     */
-    std::string get(const std::string& key) const;
-
-    /** True when @p key is registered. */
-    bool has(const std::string& key) const;
-
-    /** All registered keys, sorted. */
-    std::vector<std::string> keys() const;
-
-    /**
-     * Apply one "key=value" assignment (spaces around '=' allowed);
-     * throws SimError(kConfig) on malformed input.
-     */
-    void applyAssignment(const std::string& assignment);
-
-    /**
-     * Load a GPGPU-Sim style config file: one `key = value` per line,
-     * '#' starts a comment, blank lines ignored. Throws
-     * SimError(kConfig) on an unreadable file or any
-     * malformed/unknown/invalid line (with the file name and line
-     * number).
-     */
-    void loadFile(const std::string& path);
-
-    /** Every key with its current value, sorted by key. */
-    std::map<std::string, std::string> snapshot() const;
 
     /**
      * Only the semantic keys with their current values, sorted by
@@ -125,41 +78,10 @@ class ConfigRegistry
     ConfigKeyKind keyKind(const std::string& key) const;
 
   private:
-    struct Entry
-    {
-        std::function<bool(const std::string&, std::string*)> set;
-        std::function<std::string()> get;
-        ConfigKeyKind kind = ConfigKeyKind::kSemantic;
-    };
-
-    /**
-     * Mark @p keys observation-only (they must already be
-     * registered; a typo is fatal so the list can never drift from
-     * the real key namespace).
-     */
-    void markObservation(std::initializer_list<const char*> keys);
-
-    void addEntry(const std::string& key, Entry entry);
-    void addInt(const std::string& key, int& field, int min_value,
-                int max_value = std::numeric_limits<int>::max());
-    void addU32(const std::string& key, std::uint32_t& field,
-                std::uint32_t min_value,
-                std::uint32_t max_value =
-                    std::numeric_limits<std::uint32_t>::max());
-    void addU64(const std::string& key, std::uint64_t& field,
-                std::uint64_t min_value,
-                std::uint64_t max_value =
-                    std::numeric_limits<std::uint64_t>::max());
-    void addDouble(const std::string& key, double& field, double min_value,
-                   double max_value);
-    void addBool(const std::string& key, bool& field);
-    void addString(const std::string& key, std::string& field);
     void addPolicyName(const std::string& key, std::string& field,
                        bool (*known)(const std::string&),
                        std::vector<std::string> (*names)());
     void addReplacement(const std::string& key, ReplacementPolicy& field);
-
-    std::map<std::string, Entry> entries_;
 };
 
 /**

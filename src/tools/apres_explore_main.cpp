@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/key_registry.hpp"
 #include "common/log.hpp"
 #include "common/parse.hpp"
 #include "common/sim_error.hpp"
@@ -76,15 +77,6 @@ printHelp()
         "  --help            this text\n";
 }
 
-std::pair<std::string, std::string>
-splitAssignment(const std::string& text)
-{
-    const std::size_t eq = text.find('=');
-    if (eq == std::string::npos || eq == 0)
-        fatal("--set needs KEY=VALUE, got '" + text + "'");
-    return {text.substr(0, eq), text.substr(eq + 1)};
-}
-
 int
 runExplore(const std::vector<std::string>& args)
 {
@@ -109,7 +101,7 @@ runExplore(const std::vector<std::string>& args)
         } else if (arg == "--fresh-bias") {
             opts.freshBias = parsePositiveDoubleOption(arg, next());
         } else if (arg == "--set") {
-            opts.overrides.push_back(splitAssignment(next()));
+            opts.overrides.push_back(KeyRegistry::parseAssignment(next()));
         } else if (arg == "--help") {
             printHelp();
             return 0;
@@ -184,7 +176,7 @@ runCompare(const std::vector<std::string>& args)
         } else if (arg == "--csv") {
             csv_path = next();
         } else if (arg == "--set") {
-            opts.overrides.push_back(splitAssignment(next()));
+            opts.overrides.push_back(KeyRegistry::parseAssignment(next()));
         } else if (arg == "--help") {
             printHelp();
             return 0;
@@ -202,7 +194,7 @@ runCompare(const std::vector<std::string>& args)
     if (workloads.empty() && kernel_files.empty())
         workloads = {"KM"};
     for (const std::string& name : workloads) {
-        CompareKernel k;
+        ServeJobSpec k;
         k.label = name;
         k.workload = name;
         k.scale = scale;
@@ -214,7 +206,7 @@ runCompare(const std::vector<std::string>& args)
             fatal("cannot open " + path);
         std::ostringstream text;
         text << in.rdbuf();
-        CompareKernel k;
+        ServeJobSpec k;
         k.label = path;
         k.kernelText = text.str();
         opts.kernels.push_back(std::move(k));

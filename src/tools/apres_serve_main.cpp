@@ -31,7 +31,6 @@
 
 #include "common/fault_inject.hpp"
 #include "common/log.hpp"
-#include "common/parse.hpp"
 #include "common/sim_error.hpp"
 #include "serve/daemon.hpp"
 #include "serve/serve_config.hpp"
@@ -141,13 +140,7 @@ run(int argc, char** argv)
         } else if (arg == "--fingerprint") {
             opts.fingerprint = next();
         } else if (arg == "--set") {
-            const std::string assignment = next();
-            const std::size_t eq = assignment.find('=');
-            if (eq == std::string::npos || eq == 0)
-                fatal("--set expects KEY=VALUE, got \"" + assignment +
-                      "\"");
-            registry.set(assignment.substr(0, eq),
-                         assignment.substr(eq + 1));
+            registry.applyAssignment(next());
         } else if (arg == "--fault-inject") {
             faultSpec = next();
         } else {

@@ -103,34 +103,6 @@ printHelp()
         "  --help            this text\n";
 }
 
-/** Emit one finished run into the --json document. */
-void
-writeRunJson(JsonWriter& json, const std::string& workload,
-             const std::string& label, const RunResult& r)
-{
-    json.beginObject();
-    json.field("workload", workload);
-    json.field("label", label);
-    json.field("completed", r.completed);
-    json.field("status", r.status);
-    if (r.status != "ok") {
-        json.beginObject("error");
-        json.field("kind", r.errorKind);
-        json.field("detail", r.errorDetail);
-        json.endObject();
-    }
-    json.beginObject("config");
-    for (const auto& [key, value] : r.config)
-        json.field(key, value);
-    json.endObject();
-    json.beginObject("stats");
-    const StatSet stats = r.toStatSet();
-    for (const auto& [key, value] : stats.entries())
-        json.field(key, value);
-    json.endObject();
-    json.endObject();
-}
-
 /**
  * Service-mode client: ship the already-resolved batch to a running
  * apres_serve daemon and print its raw JSON response. The local
@@ -410,7 +382,11 @@ run(int argc, char** argv)
             any_failed = true;
         }
         if (json_output) {
-            writeRunJson(*json, name, cfg.label(), r);
+            json->beginObject();
+            json->field("workload", name);
+            json->field("label", cfg.label());
+            writeRunResultFields(*json, r);
+            json->endObject();
         } else if (!csv_path.empty()) {
             csv.addRow(name + ":" + cfg.label(), r.toStatSet());
         } else if (quiet) {

@@ -128,21 +128,6 @@ TEST(RunningStat, ResetForgetsSamples)
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(10.0, 3); // [0,10) [10,20) [20,30) + overflow
-    h.add(5.0);
-    h.add(15.0);
-    h.add(25.0);
-    h.add(99.0);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(2), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_DOUBLE_EQ(h.bucketFraction(0), 0.25);
-}
-
 TEST(StatSet, SetAccumulateGet)
 {
     StatSet s;

@@ -348,7 +348,7 @@ TEST(Compare, OneRunPerKernelPolicyCell)
     CompareOptions opts;
     opts.policies = {{"lrr", "none"}, {"gto", "none"}, {"laws", "sap"}};
     for (const char* app : {"KM", "BFS"}) {
-        CompareKernel k;
+        ServeJobSpec k;
         k.label = app;
         k.workload = app;
         k.scale = 0.02;
@@ -396,7 +396,7 @@ TEST(Compare, WarmRerunsComeFromTheResultCache)
 
     CompareOptions opts;
     opts.policies = {{"lrr", "none"}, {"gto", "none"}};
-    CompareKernel k;
+    ServeJobSpec k;
     k.label = "BFS";
     k.workload = "BFS";
     k.scale = 0.02;
@@ -425,7 +425,7 @@ TEST(Compare, RejectsMalformedOptions)
     EXPECT_THROW(runComparison(opts), SimError);
     opts.policies = {{"lrr", "none"}, {"gto", "none"}};
     EXPECT_THROW(runComparison(opts), SimError); // no kernels
-    CompareKernel k;
+    ServeJobSpec k;
     k.label = "empty";
     opts.kernels = {k};
     EXPECT_THROW(runComparison(opts), SimError); // kernel has no source

@@ -20,6 +20,7 @@
 
 #include "common/json.hpp"
 #include "common/json_value.hpp"
+#include "explore/policy_compare.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_cache.hpp"
@@ -475,6 +476,56 @@ TEST(ServeDaemon, ObservationOverridesHitTheSemanticEntry)
     EXPECT_EQ(daemon.simulationsRun(), 1u);
     const JsonValue sharded_doc = JsonValue::parse(sharded_response);
     EXPECT_TRUE(sharded_doc.at("runs").at(0).at("cached").asBool());
+}
+
+TEST(ServeDaemon, SharesOneCacheWithCompare)
+{
+    // apres_explore compare keys and stores its cells the way the
+    // daemon does, so a cell either front end stored is a hit for the
+    // other.
+    const std::string dir = scratchDir("shared_with_compare");
+    ServeJobSpec km;
+    km.label = "KM";
+    km.workload = "KM";
+    km.scale = 0.02;
+    CompareOptions compare;
+    compare.policies = {{"lrr", "none"}, {"laws", "sap"}};
+    compare.kernels = {km};
+    compare.overrides = {{"numSms", "2"}};
+    compare.cacheDir = dir;
+    const CompareReport report = runComparison(compare);
+    ASSERT_EQ(report.simulations, 2u);
+    ASSERT_EQ(report.pairs.size(), 1u);
+
+    const auto ipcOf = [](const JsonValue& response) {
+        return response.at("runs").at(0).at("result").at("stats").at(
+            "sim.ipc").asDouble();
+    };
+    ServeOptions opts;
+    opts.cacheDir = dir;
+    ServeDaemon daemon(opts);
+    ServeJobSpec apres_cell = km;
+    apres_cell.overrides = {
+        {"numSms", "2"}, {"scheduler", "laws"}, {"prefetcher", "sap"}};
+    const JsonValue hit =
+        JsonValue::parse(daemon.handleRequest(runRequest({apres_cell})));
+    EXPECT_EQ(hit.at("simulations").asUint64(), 0u);
+    EXPECT_TRUE(hit.at("runs").at(0).at("cached").asBool());
+    EXPECT_EQ(ipcOf(hit), report.pairs[0].ipcCandidate);
+
+    // The reverse direction: a cell the daemon simulated and stored
+    // comes back to compare as a cache hit.
+    ServeJobSpec gto_cell = km;
+    gto_cell.overrides = {
+        {"numSms", "2"}, {"scheduler", "gto"}, {"prefetcher", "none"}};
+    const JsonValue stored =
+        JsonValue::parse(daemon.handleRequest(runRequest({gto_cell})));
+    ASSERT_FALSE(stored.at("runs").at(0).at("cached").asBool());
+    compare.policies = {{"lrr", "none"}, {"gto", "none"}};
+    const CompareReport warm = runComparison(compare);
+    EXPECT_EQ(warm.simulations, 0u);
+    EXPECT_EQ(warm.cacheHits, 2u);
+    EXPECT_EQ(warm.pairs[0].ipcCandidate, ipcOf(stored));
 }
 
 TEST(ServeDaemon, FailuresBecomeRowsAndAreNeverCached)

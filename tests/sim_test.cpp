@@ -233,8 +233,10 @@ TEST(Sim, RejectsUnbuildableMemoryGeometry)
     // count or line size that is not a power of two, 2^32 sets that
     // overflow the 32-bit set index) or a DRAM row shorter than a line,
     // so the Gpu rejects them before the first cycle; a one-line SLD
-    // block fails its key's own bound. Either way the ConfigError names
-    // the first key of the case.
+    // block, an SLD block wider than its 32-bit line mask and
+    // prefetcher tables or degrees past 4096 fail their key's own
+    // bound. Either way the ConfigError names the first key of the
+    // case.
     const Workload wl = makeWorkload("SP", 0.05);
     const std::vector<std::vector<std::pair<std::string, std::string>>>
         cases = {{{"l1.sizeBytes", "1000"}},
@@ -245,7 +247,12 @@ TEST(Sim, RejectsUnbuildableMemoryGeometry)
                   {"l2.ways", "1"},
                   {"l2.lineSize", "1"}},
                  {{"dram.rowBytes", "64"}},
-                 {{"sld.linesPerBlock", "1"}}};
+                 {{"sld.linesPerBlock", "1"}},
+                 {{"sld.linesPerBlock", "33"}},
+                 {{"sld.linesPerBlock", "2147483647"}},
+                 {{"sld.tableEntries", "2147483647"}},
+                 {{"str.degree", "2147483647"}},
+                 {{"str.tableEntries", "2147483647"}}};
     for (const auto& overrides : cases) {
         GpuConfig cfg = smallGpu();
         cfg.mem.dram.rowBufferModel = true;

@@ -182,8 +182,9 @@ TEST(Stress, RandomKernelsUnderAuditAndWatchdog)
     }
     // The audit cadence fired on a healthy majority of runs (not
     // meaningful when replaying a single iteration).
-    if (replay < 0)
+    if (replay < 0) {
         EXPECT_GT(audited_runs, 20);
+    }
 }
 
 TEST(Stress, KernelTextFuzzParsesOrThrowsTyped)
