@@ -692,14 +692,11 @@ struct BenchOptions
 usage(const char* argv0, const std::vector<Figure>& figures)
 {
     std::cout << "usage: " << argv0
-              << " [--jobs N] [--job-timeout S] [--retries N]"
-                 " [--keep-going] [ID...]\n"
+              << " [--jobs N] [--job-timeout S] [--keep-going] [ID...]\n"
               << "  --jobs N, -j N  sweep worker threads "
                  "(default: APRES_BENCH_JOBS or hardware concurrency)\n"
               << "  --job-timeout S per-job wall-clock deadline in "
                  "seconds (default: none)\n"
-              << "  --retries N     re-run a failed job up to N "
-                 "times (same config; default 0)\n"
               << "  --keep-going    run every job despite "
                  "failures; exit non-zero with a summary\n"
               << "  ID              print only these (default: all):";
@@ -735,9 +732,6 @@ parseArgs(int argc, char** argv, const std::vector<Figure>& figures)
         } else if (std::strcmp(arg, "--job-timeout") == 0) {
             opts.runner.jobTimeoutSeconds =
                 parsePositiveDoubleOption(arg, value());
-        } else if (std::strcmp(arg, "--retries") == 0) {
-            opts.runner.retries =
-                static_cast<int>(parsePositiveUintOption(arg, value()));
         } else if (std::strcmp(arg, "--keep-going") == 0) {
             opts.runner.keepGoing = true;
         } else if (std::none_of(figures.begin(), figures.end(),

@@ -1,7 +1,7 @@
 /**
  * @file
- * Opt-in metrics: named counters plus fixed-bucket histograms with
- * explicit underflow/overflow bins.
+ * Opt-in metrics: fixed-bucket histograms with explicit
+ * underflow/overflow bins.
  *
  * Where the tracer (trace.hpp) answers "what happened, in order", the
  * metrics registry answers "how is it distributed": load-to-use
@@ -25,11 +25,9 @@
 
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/stats.hpp"
 
 namespace apres {
@@ -145,27 +143,6 @@ class MetricsHistogram
         out.set(stem + ".overflow", static_cast<double>(overflow_));
     }
 
-    /** Emit as one anonymous JSON object (inside an open array). */
-    void
-    writeJson(JsonWriter& json) const
-    {
-        json.beginObject();
-        json.field("name", name_);
-        json.field("count", count_);
-        json.field("sum", sum_);
-        json.field("underflow", underflow_);
-        json.beginArray("buckets");
-        for (std::size_t i = 0; i < buckets_.size(); ++i) {
-            json.beginObject();
-            json.field("range", bucketLabel(i));
-            json.field("count", buckets_[i]);
-            json.endObject();
-        }
-        json.endArray();
-        json.field("overflow", overflow_);
-        json.endObject();
-    }
-
   private:
     std::string name_;
     std::uint64_t lo_;
@@ -178,10 +155,9 @@ class MetricsHistogram
 };
 
 /**
- * The set of histograms and counters one simulation (or one SM, in
- * tests that merge) accumulates. Histogram members are public so
- * sampling sites write `m->loadToUse.add(x)` directly; counters are
- * name-keyed and created on first touch.
+ * The set of histograms one simulation (or one SM, in tests that
+ * merge) accumulates. Histogram members are public so sampling sites
+ * write `m->loadToUse.add(x)` directly.
  */
 class MetricsRegistry
 {
@@ -203,22 +179,7 @@ class MetricsRegistry
     /// Cycles between prefetch issue and first demand hit on the line.
     MetricsHistogram prefetchTimeliness;
 
-    /** Bump named counter @p name by @p delta. */
-    void
-    count(const std::string& name, std::uint64_t delta = 1)
-    {
-        counters_[name] += delta;
-    }
-
-    /** Current value of counter @p name (0 when never touched). */
-    std::uint64_t
-    counterValue(const std::string& name) const
-    {
-        const auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second;
-    }
-
-    /** Accumulate @p other's histograms and counters. */
+    /** Accumulate @p other's histograms. */
     void
     merge(const MetricsRegistry& other)
     {
@@ -226,37 +187,17 @@ class MetricsRegistry
         mshrOccupancy.merge(other.mshrOccupancy);
         wgtGroupLifetime.merge(other.wgtGroupLifetime);
         prefetchTimeliness.merge(other.prefetchTimeliness);
-        for (const auto& [name, value] : other.counters_)
-            counters_[name] += value;
     }
 
-    /** Visit every histogram in declaration order. */
-    template <typename Fn>
-    void
-    forEachHistogram(Fn&& fn) const
-    {
-        fn(loadToUse);
-        fn(mshrOccupancy);
-        fn(wgtGroupLifetime);
-        fn(prefetchTimeliness);
-    }
-
-    /**
-     * Fold everything into @p out under "metrics." keys — histograms
-     * as "metrics.<name>.*", counters as "metrics.ctr.<name>".
-     */
+    /** Fold every histogram into @p out as "metrics.<name>.*" keys. */
     void
     report(StatSet& out) const
     {
-        forEachHistogram([&](const MetricsHistogram& h) {
-            h.report(out, "metrics.");
-        });
-        for (const auto& [name, value] : counters_)
-            out.set("metrics.ctr." + name, static_cast<double>(value));
+        loadToUse.report(out, "metrics.");
+        mshrOccupancy.report(out, "metrics.");
+        wgtGroupLifetime.report(out, "metrics.");
+        prefetchTimeliness.report(out, "metrics.");
     }
-
-  private:
-    std::map<std::string, std::uint64_t> counters_;
 };
 
 } // namespace apres

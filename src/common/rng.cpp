@@ -1,13 +1,11 @@
 /**
  * @file
- * Implementation of the deterministic RNG and Zipf sampler.
+ * Implementation of the deterministic RNG.
  */
 
 #include "rng.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace apres {
 
@@ -66,29 +64,6 @@ Rng::nextDouble()
 {
     // 53 high bits -> [0, 1) with full double precision.
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-ZipfSampler::ZipfSampler(std::size_t n, double alpha)
-{
-    assert(n > 0);
-    cdf.resize(n);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
-        cdf[i] = sum;
-    }
-    for (auto& c : cdf)
-        c /= sum;
-}
-
-std::size_t
-ZipfSampler::sample(Rng& rng) const
-{
-    const double u = rng.nextDouble();
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    return static_cast<std::size_t>(
-        std::min<std::ptrdiff_t>(it - cdf.begin(),
-                                 static_cast<std::ptrdiff_t>(cdf.size()) - 1));
 }
 
 } // namespace apres

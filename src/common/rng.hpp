@@ -16,7 +16,6 @@
 #define APRES_COMMON_RNG_HPP
 
 #include <cstdint>
-#include <vector>
 
 namespace apres {
 
@@ -47,33 +46,6 @@ class Rng
   private:
     std::uint64_t s0;
     std::uint64_t s1;
-};
-
-/**
- * Zipf-distributed sampler over {0, .., n-1}.
- *
- * Used to synthesise irregular-but-skewed access patterns (e.g. the BFS
- * and MUM frontier loads, whose footprint is large yet a small set of
- * lines absorbs most references). Uses the classic inverse-CDF walk
- * with a precomputed table, so sampling is O(log n).
- */
-class ZipfSampler
-{
-  public:
-    /**
-     * @param n     population size (number of distinct items)
-     * @param alpha skew exponent; 0 degenerates to uniform
-     */
-    ZipfSampler(std::size_t n, double alpha);
-
-    /** Draw one item index in [0, n). */
-    std::size_t sample(Rng& rng) const;
-
-    /** Population size. */
-    std::size_t size() const { return cdf.size(); }
-
-  private:
-    std::vector<double> cdf; // cumulative probability per rank
 };
 
 } // namespace apres

@@ -76,7 +76,6 @@ Lsu::completeOne(std::uint64_t token, Cycle now)
     }
 }
 
-template <bool kObserve>
 bool
 Lsu::processLine(Op& op, Cycle now)
 {
@@ -118,7 +117,7 @@ Lsu::processLine(Op& op, Cycle now)
         pc_stat->missRate() >= cfg.bypassMissRate) {
         req.bypassL1 = true;
         ++stats_.bypassedLines;
-        if (kObserve && tracer_) {
+        if (tracer_) {
             tracer_->record(smId, TraceEventType::kL1Bypass, now, op.pc,
                             op.warp, line);
         }
@@ -140,7 +139,7 @@ Lsu::processLine(Op& op, Cycle now)
 
     // Sample MSHR occupancy as seen by the access about to probe the
     // L1 (one sample per warp load, on its first line).
-    if (kObserve && metrics_ && op.next == 0)
+    if (metrics_ && op.next == 0)
         metrics_->mshrOccupancy.add(l1.mshrsInUse());
 
     const AccessOutcome outcome = l1.access(req);
@@ -149,7 +148,7 @@ Lsu::processLine(Op& op, Cycle now)
         return false; // replay this line next cycle
     }
 
-    if (kObserve && tracer_) {
+    if (tracer_) {
         if (op.next == 0) {
             tracer_->record(smId,
                             outcome == AccessOutcome::kHit
@@ -198,26 +197,6 @@ Lsu::processLine(Op& op, Cycle now)
     return true;
 }
 
-template <bool kObserve>
-void
-Lsu::tickOps(Cycle now)
-{
-    // Walk the front op's remaining lines at the configured rate.
-    int budget = cfg.linesPerCycle;
-    while (budget > 0 && !ops.empty()) {
-        Op& op = ops.front();
-        if (op.next >= op.lines.size()) {
-            ops.pop_front();
-            continue;
-        }
-        if (!processLine<kObserve>(op, now))
-            break; // MSHR full: retry next cycle
-        --budget;
-        if (op.next >= op.lines.size())
-            ops.pop_front();
-    }
-}
-
 void
 Lsu::tick(Cycle now)
 {
@@ -228,10 +207,20 @@ Lsu::tick(Cycle now)
         completeOne(token, now);
     }
 
-    if (observing_)
-        tickOps<true>(now);
-    else
-        tickOps<false>(now);
+    // Walk the front op's remaining lines at the configured rate.
+    int budget = cfg.linesPerCycle;
+    while (budget > 0 && !ops.empty()) {
+        Op& op = ops.front();
+        if (op.next >= op.lines.size()) {
+            ops.pop_front();
+            continue;
+        }
+        if (!processLine(op, now))
+            break; // MSHR full: retry next cycle
+        --budget;
+        if (op.next >= op.lines.size())
+            ops.pop_front();
+    }
 }
 
 void

@@ -162,7 +162,6 @@ class Lsu
     {
         tracer_ = tracer;
         metrics_ = metrics;
-        observing_ = tracer_ != nullptr || metrics_ != nullptr;
     }
 
     /** Counters. */
@@ -192,15 +191,8 @@ class Lsu
     };
 
     void completeOne(std::uint64_t token, Cycle now);
-    /**
-     * Access the next line of @p op. Templating on the observation
-     * sinks compiles every tracer/metrics branch out of the
-     * <false> instantiation — the one the hot measurement path runs —
-     * instead of re-testing both null guards per line access.
-     */
-    template <bool kObserve> bool processLine(Op& op, Cycle now);
-    /** The op-walk half of tick(), dispatched once per call. */
-    template <bool kObserve> void tickOps(Cycle now);
+    /** Access the next line of @p op; false = MSHR full, replay. */
+    bool processLine(Op& op, Cycle now);
 
     SmId smId;
     LsuConfig cfg;
@@ -224,7 +216,6 @@ class Lsu
     LsuStats stats_;
     Tracer* tracer_ = nullptr;
     MetricsRegistry* metrics_ = nullptr;
-    bool observing_ = false; ///< any sink above is active
 };
 
 } // namespace apres

@@ -569,34 +569,19 @@ Sm::auditInvariants(Cycle now) const
         for (const WarpRuntime& warp : warps) {
             if (warp.finished || warp.atBarrier)
                 continue;
-            const Instruction& instr =
-                kernel_.at(static_cast<std::size_t>(warp.pcIndex));
-            Cycle regs_ready = 0;
-            bool waits_on_load = false;
-            const auto consider = [&](int reg) {
-                if (reg < 0)
-                    return;
-                const Cycle r =
-                    warp.regReadyAt[static_cast<std::size_t>(reg)];
-                if (r == kNeverReady)
-                    waits_on_load = true;
-                else if (r > regs_ready)
-                    regs_ready = r;
-            };
-            for (const int src : instr.src)
-                consider(src);
-            consider(instr.dst);
-            if (waits_on_load)
+            WarpReadyMemo fresh;
+            refreshReadyMemo(warp, fresh);
+            if (fresh.waitsOnLoad)
                 continue;
-            if (regs_ready <= now) {
-                if (instr.isMemory() && !can_accept)
+            if (fresh.regsReady <= now) {
+                if (fresh.isMemory && !can_accept)
                     continue;
                 out << "sm" << smId << " warp " << warp.id
                     << ": issueable at cycle " << now
                     << " but the ready-scan cache claims the SM sleeps "
                        "until cycle " << readyWakeAt_ << "\n";
-            } else if (regs_ready < true_wake) {
-                true_wake = regs_ready;
+            } else if (fresh.regsReady < true_wake) {
+                true_wake = fresh.regsReady;
             }
         }
         if (true_wake < readyWakeAt_) {
@@ -631,30 +616,14 @@ Sm::auditSkippedWindow(Cycle begin, Cycle end) const
     for (const WarpRuntime& warp : warps) {
         if (warp.finished || warp.atBarrier)
             continue;
-        const Instruction& instr =
-            kernel_.at(static_cast<std::size_t>(warp.pcIndex));
-        if (instr.isMemory() && !can_accept)
+        WarpReadyMemo fresh;
+        refreshReadyMemo(warp, fresh);
+        if ((fresh.isMemory && !can_accept) || fresh.waitsOnLoad)
             continue;
-        Cycle regs_ready = 0;
-        bool waits_on_load = false;
-        const auto consider = [&](int reg) {
-            if (reg < 0)
-                return;
-            const Cycle r = warp.regReadyAt[static_cast<std::size_t>(reg)];
-            if (r == kNeverReady)
-                waits_on_load = true;
-            else if (r > regs_ready)
-                regs_ready = r;
-        };
-        for (const int src : instr.src)
-            consider(src);
-        consider(instr.dst);
-        if (waits_on_load)
-            continue;
-        if (regs_ready < end) {
+        if (fresh.regsReady < end) {
             out << "sm" << smId << " warp " << warp.id
                 << ": could have issued at cycle "
-                << std::max(begin, regs_ready)
+                << std::max(begin, fresh.regsReady)
                 << " inside the skipped window [" << begin << ", " << end
                 << ")\n";
         }

@@ -16,9 +16,8 @@ namespace apres {
 namespace {
 
 /** Policy/structural counter prefixes binned by magnitude. */
-constexpr std::array<const char*, 8> kCounterPrefixes = {
-    "laws.", "sap.", "ccws.", "mascar.", "pa.",
-    "sld.",  "trace.", "metrics.ctr."};
+constexpr std::array<const char*, 7> kCounterPrefixes = {
+    "laws.", "sap.", "ccws.", "mascar.", "pa.", "sld.", "trace."};
 
 /** Standalone structural counters binned by magnitude. */
 constexpr std::array<const char*, 16> kCounterKeys = {

@@ -17,7 +17,7 @@
 #include "common/sim_error.hpp"
 #include "common/trace.hpp"
 #include "sim/config_registry.hpp"
-#include "sim/job_executor.hpp"
+#include "sim/runner.hpp"
 
 namespace apres {
 namespace {
@@ -72,8 +72,12 @@ Explorer::probeSignature(const KernelSignature& sig,
     const auto kernel =
         std::make_shared<const Kernel>(buildKernel(sig, name));
 
-    std::vector<std::string> bins;
-    JobExecutor executor;
+    // The probes are independent simulations: run them as one batch.
+    // Results come back in submission order, so the bins do not
+    // depend on the worker count.
+    RunnerOptions runner_opts;
+    runner_opts.keepGoing = true;
+    SweepRunner runner(runner_opts);
     for (const ProbeConfig& probe : probes_) {
         GpuConfig cfg;
         ConfigRegistry reg(cfg);
@@ -106,8 +110,13 @@ Explorer::probeSignature(const KernelSignature& sig,
                                  static_cast<double>(count));
             }
         };
-        const JobOutcome outcome = executor.execute(job);
-        const auto probe_bins = coverageBins(probe.label, outcome.result);
+        runner.submit(std::move(job));
+    }
+    const std::vector<SweepResult> results = runner.runAll();
+    std::vector<std::string> bins;
+    for (std::size_t i = 0; i < probes_.size(); ++i) {
+        const auto probe_bins = coverageBins(probes_[i].label,
+                                             results[i].result);
         bins.insert(bins.end(), probe_bins.begin(), probe_bins.end());
     }
     std::sort(bins.begin(), bins.end());

@@ -6,7 +6,7 @@
  * mutates a corpus parent (chosen by rarity-weighted tournament: a
  * kernel holding bins few others hold is the most promising thing to
  * perturb), builds the kernel, and runs it under a small set of probe
- * machine configurations through the pure JobExecutor core. The bins
+ * machine configurations, one SweepRunner batch per candidate. The bins
  * the runs light up (coverage.hpp) are folded into the campaign
  * coverage map; a candidate that lights at least one previously-dark
  * bin is admitted to the corpus. After the budget drains, greedy
@@ -19,10 +19,11 @@
  * corpus directory contents), a campaign reproduces the same corpus,
  * the same coverage map and a bitwise-identical report. All
  * randomness flows from one apres::Rng stream, candidates run
- * serially in round order, a simulation is a pure function of its
- * config and kernel (so a kernel's coverage is a function of the
- * kernel and probe alone), and the report contains no wall-clock
- * times.
+ * serially in round order (a candidate's probes run in parallel, but
+ * their results return in submission order), a simulation is a pure
+ * function of its config and kernel (so a kernel's coverage is a
+ * function of the kernel and probe alone), and the report contains no
+ * wall-clock times.
  */
 
 #ifndef APRES_EXPLORE_EXPLORER_HPP

@@ -152,7 +152,6 @@ Cache::victimIdx(std::uint32_t set)
     return victim;
 }
 
-template <bool kMetrics>
 void
 Cache::recordDemandHit(std::size_t idx, const MemRequest& req)
 {
@@ -170,7 +169,7 @@ Cache::recordDemandHit(std::size_t idx, const MemRequest& req)
         ++stats_.usefulPrefetches;
         // Timeliness: the prefetch landed this many cycles before its
         // first demand consumer (req.issued = demand access cycle).
-        if (kMetrics && req.issued >= line.prefetchIssuedAt) {
+        if (metrics_ && req.issued >= line.prefetchIssuedAt) {
             metrics_->prefetchTimeliness.add(req.issued -
                                              line.prefetchIssuedAt);
         }
@@ -218,16 +217,15 @@ Cache::setEvictionListener(EvictionListener listener)
     evictionListener = std::move(listener);
 }
 
-template <bool kMetrics>
 AccessOutcome
-Cache::accessImpl(const MemRequest& req)
+Cache::access(const MemRequest& req)
 {
     assert(!req.isWrite && !req.isPrefetch);
     ++stats_.demandAccesses;
 
     const std::size_t idx = findIdx(req.lineAddr);
     if (idx != kNoIdx) {
-        recordDemandHit<kMetrics>(idx, req);
+        recordDemandHit(idx, req);
         return AccessOutcome::kHit;
     }
 
@@ -246,7 +244,7 @@ Cache::accessImpl(const MemRequest& req)
             ++stats_.demandMergedIntoPrefetch;
             // Merged-late coverage still has a timeliness distance:
             // demand arrived while the prefetch was in flight.
-            if (kMetrics && req.issued >= entry->prefetchIssuedAt) {
+            if (metrics_ && req.issued >= entry->prefetchIssuedAt) {
                 metrics_->prefetchTimeliness.add(req.issued -
                                                  entry->prefetchIssuedAt);
             }
@@ -269,14 +267,6 @@ Cache::accessImpl(const MemRequest& req)
     entry->prefetchOnly = false;
     entry->waiters.push_back(req);
     return AccessOutcome::kMiss;
-}
-
-AccessOutcome
-Cache::access(const MemRequest& req)
-{
-    // One dispatch on the sink hoists every per-access metrics branch
-    // into dead code of the <false> instantiation.
-    return metrics_ ? accessImpl<true>(req) : accessImpl<false>(req);
 }
 
 PrefetchOutcome

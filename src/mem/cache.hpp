@@ -206,9 +206,7 @@ class Cache
      * Install a metrics sink (null = off). The cache samples prefetch
      * timeliness — cycles between a prefetch's issue and the first
      * demand touching its line (on residency hit or MSHR merge); pure
-     * observation, no outcome changes. The demand path dispatches once
-     * on the sink's presence into a metrics-free template
-     * instantiation, so a null sink costs nothing per access.
+     * observation, no outcome changes.
      */
     void setMetrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
@@ -273,10 +271,7 @@ class Cache
     /** Pool index of @p set's way 0; gives the set storage if it has none. */
     std::size_t slotBase(std::uint32_t set);
     std::size_t victimIdx(std::uint32_t set);
-    template <bool kMetrics>
     void recordDemandHit(std::size_t idx, const MemRequest& req);
-    template <bool kMetrics>
-    AccessOutcome accessImpl(const MemRequest& req);
     void classifyMiss(Addr line_addr);
     void evict(std::size_t idx);
 

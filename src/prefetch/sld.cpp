@@ -10,7 +10,8 @@
 
 namespace apres {
 
-SldPrefetcher::SldPrefetcher(const SldConfig& config) : cfg(config)
+SldPrefetcher::SldPrefetcher(const SldConfig& config, std::uint32_t line_size)
+    : cfg(config), lineSize(line_size)
 {
     assert(cfg.linesPerBlock >= 2);
     assert(cfg.linesPerBlock <= 32); // width of Entry::accessedMask
@@ -41,10 +42,10 @@ void
 SldPrefetcher::onAccess(const LoadAccessInfo& info, PrefetchIssuer& issuer)
 {
     const std::uint64_t block_bytes =
-        static_cast<std::uint64_t>(cfg.linesPerBlock) * cfg.lineSize;
+        static_cast<std::uint64_t>(cfg.linesPerBlock) * lineSize;
     const Addr block = info.baseLineAddr / block_bytes * block_bytes;
     const auto line_in_block = static_cast<std::uint32_t>(
-        (info.baseLineAddr - block) / cfg.lineSize);
+        (info.baseLineAddr - block) / lineSize);
 
     Entry& entry = lookup(block);
     entry.lastUse = ++useClock;
@@ -56,7 +57,7 @@ SldPrefetcher::onAccess(const LoadAccessInfo& info, PrefetchIssuer& issuer)
     for (int l = 0; l < cfg.linesPerBlock; ++l) {
         if (entry.accessedMask & (1u << l))
             continue;
-        issuer.issuePrefetch(block + static_cast<Addr>(l) * cfg.lineSize,
+        issuer.issuePrefetch(block + static_cast<Addr>(l) * lineSize,
                              info.pc, info.warp);
     }
 }

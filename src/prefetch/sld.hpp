@@ -26,7 +26,6 @@ struct SldConfig
 {
     int linesPerBlock = 4; ///< macro block size in cache lines
     int tableEntries = 64; ///< tracked macro blocks
-    std::uint32_t lineSize = 128;
 };
 
 /**
@@ -35,7 +34,8 @@ struct SldConfig
 class SldPrefetcher final : public Prefetcher
 {
   public:
-    explicit SldPrefetcher(const SldConfig& config = {});
+    /** @param line_size the L1's line size: blocks are cut in its lines */
+    SldPrefetcher(const SldConfig& config, std::uint32_t line_size);
 
     void onAccess(const LoadAccessInfo& info, PrefetchIssuer& issuer) override;
 
@@ -54,6 +54,7 @@ class SldPrefetcher final : public Prefetcher
     Entry& lookup(Addr block_addr);
 
     SldConfig cfg;
+    std::uint32_t lineSize;
     std::vector<Entry> table;
     std::uint64_t useClock = 0;
 };

@@ -643,7 +643,6 @@ ServeDaemon::handleRun(const ServeRequest& request)
 {
     RunnerOptions runner;
     runner.threads = opts_.threads;
-    runner.retries = request.retries;
     runner.jobTimeoutSeconds = request.timeoutSeconds;
     const std::vector<CachedRun> runs =
         runCachedBatch(request.jobs, fingerprint_, cache_, runner);

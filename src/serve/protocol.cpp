@@ -115,16 +115,16 @@ parseServeRequest(const std::string& text)
 
     req.type = ServeRequest::Type::kRun;
     if (const JsonValue* options = doc.find("options")) {
+        // Strict: an unknown option would otherwise be a silent no-op.
+        for (const auto& [key, value] : options->members()) {
+            if (key != "timeoutSeconds")
+                throwConfigError("unknown run option \"options." + key +
+                                 "\" (the only option is timeoutSeconds)");
+        }
         if (const JsonValue* t = options->find("timeoutSeconds")) {
             req.timeoutSeconds = t->asDouble();
             if (req.timeoutSeconds < 0.0)
                 throwConfigError("options.timeoutSeconds must be >= 0");
-        }
-        if (const JsonValue* r = options->find("retries")) {
-            const std::uint64_t retries = r->asUint64();
-            if (retries > 100)
-                throwConfigError("options.retries must be <= 100");
-            req.retries = static_cast<int>(retries);
         }
     }
     const JsonValue& jobs = doc.at("jobs");

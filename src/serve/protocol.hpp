@@ -10,7 +10,7 @@
  *   {"type": "stats"}                    -> cache/executor counters
  *   {"type": "shutdown"}                 -> ack, then the daemon stops
  *   {"type": "run",
- *    "options": {"timeoutSeconds": 5.0, "retries": 1},   (optional)
+ *    "options": {"timeoutSeconds": 5.0},                 (optional)
  *    "jobs": [
  *      {"label": "km-64k",                               (optional)
  *       "workload": "KM", "scale": 1.0,    (or "kernelText": "...")
@@ -79,7 +79,7 @@ namespace apres {
  * part of every cache key, so a bump invalidates all cached entries
  * at once instead of serving stale documents.
  */
-inline constexpr const char* kStatsSchemaVersion = "apres-results-v1";
+inline constexpr const char* kStatsSchemaVersion = "apres-results-v2";
 
 /**
  * The fingerprint cache keys embed: kStatsSchemaVersion, unless the
@@ -107,15 +107,14 @@ struct ServeRequest
     Type type = Type::kPing;
 
     std::vector<ServeJobSpec> jobs; ///< kRun only
-    double timeoutSeconds = 0.0;    ///< kRun option
-    int retries = 0;                ///< kRun option
+    double timeoutSeconds = 0.0;    ///< kRun option, the only one
 };
 
 /**
  * Parse one request document. Throws SimError(kSerialization) on
  * malformed JSON or protocol shape, SimError(kConfig) on bad option
- * values — either way the daemon answers with an error response
- * instead of running anything.
+ * values or an unknown run option — either way the daemon answers
+ * with an error response instead of running anything.
  */
 ServeRequest parseServeRequest(const std::string& text);
 

@@ -205,7 +205,6 @@ ConfigRegistry::ConfigRegistry(GpuConfig& c)
     // tracks a block's touched lines in a 32-bit mask.
     addInt("sld.linesPerBlock", c.sld.linesPerBlock, 2, 32);
     addInt("sld.tableEntries", c.sld.tableEntries, 1, 4096);
-    addInt("sld.lineSize", c.sld.lineSize, 1);
 
     addInt("sap.ptEntries", c.sap.ptEntries, 1, 4096);
     addInt("sap.wqEntries", c.sap.wqEntries, 1, 4096);

@@ -44,10 +44,18 @@ upperCased(const std::string& name)
 }
 
 /**
- * Reject a cache geometry the Cache model cannot index: the line size
- * and the set count (sizeBytes / (ways * lineSize)) must be powers of
- * two, and the set count must fit the cache's 32-bit set index.
- * @p prefix is the cache's key namespace ("l1" or "l2").
+ * Most sets one cache may model: its slot index (4 bytes per set) is
+ * built before the first cycle, so this bounds it at 4 MiB. The
+ * largest geometry in use, a 1 GB L1 at 8 ways x 128 B, has exactly
+ * this many.
+ */
+constexpr std::uint64_t kMaxCacheSets = std::uint64_t{1} << 20;
+
+/**
+ * Reject a cache geometry the Cache model cannot index or cannot
+ * afford: the line size and the set count (sizeBytes / (ways *
+ * lineSize)) must be powers of two, and the set count at most
+ * kMaxCacheSets. @p prefix is the cache's key namespace ("l1" or "l2").
  */
 void
 checkCacheGeometry(const std::string& prefix, const CacheConfig& c)
@@ -69,8 +77,8 @@ checkCacheGeometry(const std::string& prefix, const CacheConfig& c)
     };
     if (!isPowerOfTwo(sets))
         reject("the set count must be a power of two");
-    if (sets > std::numeric_limits<std::uint32_t>::max())
-        reject("the set index is 32 bits, so at most 2^31 sets");
+    if (sets > kMaxCacheSets)
+        reject("a cache holds at most 2^20 sets (a 4 MiB slot index)");
 }
 
 } // namespace

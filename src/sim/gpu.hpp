@@ -61,7 +61,7 @@ struct RunResult
     std::uint64_t prefetchesIssued = 0;
 
     std::uint64_t idleCycles = 0;   ///< summed over SMs
-    std::uint64_t mshrReplays = 0;  ///< LSU retries on MSHR-full
+    std::uint64_t mshrReplays = 0;  ///< LSU replays on MSHR-full
 
     std::uint64_t dramRequests = 0;  ///< summed over partitions
     std::uint64_t dramRowHits = 0;   ///< row-buffer hits (row model only)

@@ -72,7 +72,8 @@ prefetcherFactories()
          }},
         {"sld",
          [](const GpuConfig& cfg, Scheduler&) -> std::unique_ptr<Prefetcher> {
-             return std::make_unique<SldPrefetcher>(cfg.sld);
+             return std::make_unique<SldPrefetcher>(cfg.sld,
+                                                    cfg.sm.l1.lineSize);
          }},
         {"sap",
          [](const GpuConfig& cfg,

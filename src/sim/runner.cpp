@@ -7,16 +7,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include <unistd.h>
 
+#include "common/fault_inject.hpp"
 #include "common/log.hpp"
+#include "common/sim_error.hpp"
 
 namespace apres {
 
@@ -67,6 +71,72 @@ SweepRunner::threadCount() const
 }
 
 namespace {
+
+/** Thrown by the interrupt hook when a job's deadline expires. */
+struct JobTimeout
+{
+};
+
+/**
+ * Run @p job once into @p slot. Fault isolation: the run sits under
+ * try/catch plus an optional cooperative wall-clock deadline, and a
+ * failure becomes a machine-readable error row instead of tearing the
+ * process down. @return the failure, or null when the job succeeded.
+ */
+std::exception_ptr
+runJob(const SweepJob& job, double timeout_seconds, SweepResult& slot)
+{
+    const auto start = std::chrono::steady_clock::now();
+    slot.label = job.label;
+    RunResult& r = slot.result;
+    std::exception_ptr failure;
+    try {
+        // Chaos seam: sleep actions make deterministically slow jobs
+        // for overload tests, throw actions exercise the error-row
+        // path. One relaxed load when disarmed.
+        faultInjectAt("job.execute");
+        Gpu gpu(job.config, *job.kernel);
+        if (timeout_seconds > 0.0) {
+            const auto deadline = std::chrono::steady_clock::now() +
+                std::chrono::duration<double>(timeout_seconds);
+            gpu.setInterruptCheck([deadline] {
+                if (std::chrono::steady_clock::now() >= deadline)
+                    throw JobTimeout{};
+            });
+        }
+        r = gpu.run();
+        if (job.inspect)
+            job.inspect(gpu, r);
+        r.status = "ok";
+    } catch (const JobTimeout&) {
+        r = RunResult{};
+        r.status = "timeout";
+        r.errorKind = "Timeout";
+        std::ostringstream msg;
+        msg << "job \"" << job.label
+            << "\" exceeded the per-job deadline of " << timeout_seconds
+            << " s";
+        r.errorDetail = msg.str();
+        failure = std::make_exception_ptr(
+            SimError(SimErrorKind::kDeadlock, r.errorDetail));
+    } catch (const SimError& e) {
+        r = RunResult{};
+        r.status = "error";
+        r.errorKind = e.kindName();
+        r.errorDetail = e.detail();
+        failure = std::make_exception_ptr(e);
+    } catch (const std::exception& e) {
+        r = RunResult{};
+        r.status = "error";
+        r.errorKind = "InternalError";
+        r.errorDetail = e.what();
+        failure = std::make_exception_ptr(std::runtime_error(r.errorDetail));
+    }
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - start;
+    slot.wallSeconds = wall.count();
+    return failure;
+}
 
 /** Progress reporting shared by the workers (serialized by a mutex). */
 class ProgressLine
@@ -131,8 +201,6 @@ SweepRunner::runAll()
     std::vector<char> started(jobs.size(), 0);
     std::mutex failure_mu;
     std::exception_ptr first_failure;
-    const JobExecutor executor(
-        JobExecutionPolicy{opts.retries, opts.jobTimeoutSeconds});
 
     const auto work = [&] {
         for (;;) {
@@ -142,21 +210,15 @@ SweepRunner::runAll()
             if (i >= jobs.size())
                 return;
             started[i] = 1;
-            const SweepJob& job = jobs[i];
-            SweepResult& slot = results[i];
-            slot.label = job.label;
-
-            JobOutcome outcome = executor.execute(job);
-            slot.result = std::move(outcome.result);
-            slot.wallSeconds = outcome.wallSeconds;
-
-            if (outcome.failure && !opts.keepGoing) {
+            const std::exception_ptr failure =
+                runJob(jobs[i], opts.jobTimeoutSeconds, results[i]);
+            if (failure && !opts.keepGoing) {
                 const std::lock_guard<std::mutex> lock(failure_mu);
                 if (!first_failure)
-                    first_failure = outcome.failure;
+                    first_failure = failure;
                 abort.store(true, std::memory_order_relaxed);
             }
-            progress.jobDone(slot.label);
+            progress.jobDone(results[i].label);
         }
     };
 

@@ -22,11 +22,13 @@
  * environment variable, or std::thread::hardware_concurrency(), in
  * that order of precedence (see defaultJobCount()).
  *
- * The runner is a *frontend*: per-job execution (fault isolation,
- * timeouts, retries) lives in the pure JobExecutor core
- * (job_executor.hpp), which the apres_serve daemon shares. The runner
- * adds the thread pool, progress reporting and the keep-going/abort
- * sweep semantics.
+ * The runner is the only code that runs a simulation job. Every front
+ * end goes through it: bench_paper and perfbench directly, apres_serve
+ * and apres_explore compare through runCachedBatch (serve/batch.hpp),
+ * and the explorer's probes as one batch per candidate. Each job runs
+ * once, under fault isolation and an optional cooperative deadline;
+ * the simulator is deterministic, so re-running a failed job would
+ * only repeat its failure.
  */
 
 #ifndef APRES_SIM_RUNNER_HPP
@@ -39,7 +41,6 @@
 #include <vector>
 
 #include "sim/gpu.hpp"
-#include "sim/job_executor.hpp"
 
 namespace apres {
 
@@ -67,14 +68,6 @@ struct RunnerOptions
     bool progress = false;
 
     /**
-     * Re-run attempts after a failed or timed-out job ("--retries").
-     * Every attempt runs the same config, so a retry only helps
-     * against environmental flakes — a deterministic failure fails all
-     * attempts identically, which is itself diagnostic.
-     */
-    int retries = 0;
-
-    /**
      * Per-job wall-clock deadline in seconds ("--job-timeout"); 0
      * disables. Enforced cooperatively through Gpu::setInterruptCheck
      * (polled every ~16K simulated cycles), so an expired job aborts
@@ -94,9 +87,22 @@ struct RunnerOptions
     bool keepGoing = false;
 };
 
-// SweepJob (one config over a shared, immutable kernel) lives in
-// job_executor.hpp now: the execution core owns the job shape, and
-// the runner is one of its frontends.
+/** One simulation to run: a config over a (shared, immutable) kernel. */
+struct SweepJob
+{
+    std::string label;                     ///< for reports and progress
+    GpuConfig config;                      ///< run exactly as given
+    std::shared_ptr<const Kernel> kernel;  ///< must be non-null
+
+    /**
+     * Optional post-run hook, called on the worker thread with the
+     * finished Gpu before it is destroyed. Lets drivers harvest
+     * statistics RunResult does not carry (per-PC LSU stats, DRAM row
+     * hits) without serializing the sweep. The hook must only touch
+     * this job's own state.
+     */
+    std::function<void(const Gpu&, RunResult&)> inspect;
+};
 
 /** One finished job, in submission order. */
 struct SweepResult

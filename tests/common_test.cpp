@@ -73,30 +73,6 @@ TEST(Rng, ZeroSeedIsValid)
     EXPECT_NE(rng.next(), rng.next());
 }
 
-TEST(Zipf, SkewConcentratesOnLowRanks)
-{
-    Rng rng(11);
-    ZipfSampler zipf(1000, 1.2);
-    std::uint64_t head = 0;
-    const int draws = 20000;
-    for (int i = 0; i < draws; ++i)
-        head += zipf.sample(rng) < 10 ? 1 : 0;
-    // With alpha=1.2 the top-10 of 1000 should absorb a large share.
-    EXPECT_GT(static_cast<double>(head) / draws, 0.35);
-}
-
-TEST(Zipf, AlphaZeroIsRoughlyUniform)
-{
-    Rng rng(13);
-    ZipfSampler zipf(100, 0.0);
-    std::uint64_t head = 0;
-    const int draws = 50000;
-    for (int i = 0; i < draws; ++i)
-        head += zipf.sample(rng) < 10 ? 1 : 0;
-    const double frac = static_cast<double>(head) / draws;
-    EXPECT_NEAR(frac, 0.10, 0.02);
-}
-
 TEST(RunningStat, MomentsMatchSamples)
 {
     RunningStat s;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -213,6 +214,28 @@ TEST(Explorer, SameSeedSameReportAndCoverage)
         EXPECT_EQ(serializeSignature(a.corpus()[i].signature),
                   serializeSignature(b.corpus()[i].signature));
     }
+}
+
+TEST(Explorer, ReportIndependentOfWorkerCount)
+{
+    // A candidate's probes run as one parallel batch; the bins are
+    // read in submission order, so the worker count cannot show.
+    const char* saved = std::getenv("APRES_BENCH_JOBS");
+    const std::string restore = saved ? saved : "";
+    std::vector<std::string> reports;
+    for (const char* jobs : {"1", "4"}) {
+        ASSERT_EQ(setenv("APRES_BENCH_JOBS", jobs, 1), 0);
+        Explorer explorer(quickOptions(5, 4));
+        explorer.run();
+        std::ostringstream report;
+        explorer.writeReport(report);
+        reports.push_back(report.str());
+    }
+    if (saved)
+        setenv("APRES_BENCH_JOBS", restore.c_str(), 1);
+    else
+        unsetenv("APRES_BENCH_JOBS");
+    EXPECT_EQ(reports[0], reports[1]);
 }
 
 TEST(Explorer, DifferentSeedsDiverge)

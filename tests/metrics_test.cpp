@@ -2,7 +2,7 @@
  * @file
  * Metrics registry tests: histogram bucket arithmetic at the edges of
  * the uint64 range, cross-SM merging, StatSet folding, and round-trips
- * through the JSON and RFC-4180 CSV writers.
+ * through the RFC-4180 CSV writer.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/csv.hpp"
-#include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "common/stats.hpp"
 #include "sim/gpu.hpp"
@@ -100,31 +99,24 @@ TEST(MetricsRegistry, MergeSumsHistogramsAndCounters)
     sm0.loadToUse.add(5);
     sm0.loadToUse.add(40);
     sm1.loadToUse.add(40);
-    sm0.count("prefetch.drops", 2);
-    sm1.count("prefetch.drops", 3);
-    sm1.count("wq.walks");
 
     sm0.merge(sm1);
     EXPECT_EQ(sm0.loadToUse.count(), 3u);
     EXPECT_DOUBLE_EQ(sm0.loadToUse.sum(), 85.0);
     EXPECT_EQ(sm0.loadToUse.bucketCount(0), 1u); // 5 in [0,32)
     EXPECT_EQ(sm0.loadToUse.bucketCount(1), 2u); // both 40s in [32,64)
-    EXPECT_EQ(sm0.counterValue("prefetch.drops"), 5u);
-    EXPECT_EQ(sm0.counterValue("wq.walks"), 1u);
-    EXPECT_EQ(sm0.counterValue("never.touched"), 0u);
     // The source registry is unchanged.
     EXPECT_EQ(sm1.loadToUse.count(), 1u);
 }
 
 // ---------------------------------------------------------------------
-// Reporting: StatSet keys, JSON, CSV
+// Reporting: StatSet keys, CSV
 // ---------------------------------------------------------------------
 
 TEST(MetricsRegistry, ReportsUnderMetricsKeyPrefix)
 {
     MetricsRegistry m;
     m.loadToUse.add(100);
-    m.count("l1.events", 7);
     StatSet out;
     m.report(out);
 
@@ -133,37 +125,10 @@ TEST(MetricsRegistry, ReportsUnderMetricsKeyPrefix)
     EXPECT_DOUBLE_EQ(out.get("metrics.loadToUse.b3"), 1.0); // [96,128)
     EXPECT_DOUBLE_EQ(out.get("metrics.loadToUse.underflow"), 0.0);
     EXPECT_DOUBLE_EQ(out.get("metrics.loadToUse.overflow"), 0.0);
-    EXPECT_DOUBLE_EQ(out.get("metrics.ctr.l1.events"), 7.0);
     // Every declared histogram reports, touched or not.
     EXPECT_TRUE(out.has("metrics.mshrOccupancy.count"));
     EXPECT_TRUE(out.has("metrics.wgtGroupLifetime.count"));
     EXPECT_TRUE(out.has("metrics.prefetchTimeliness.count"));
-}
-
-TEST(MetricsHistogram, JsonEmissionIsStructuredAndLabelled)
-{
-    MetricsHistogram h("loadToUse", 0, 4, 2);
-    h.add(1);
-    h.add(5);
-    h.add(100);
-    std::ostringstream os;
-    {
-        JsonWriter json(os);
-        json.beginObject();
-        json.beginArray("histograms");
-        h.writeJson(json);
-        json.endArray();
-        json.endObject();
-    }
-    const std::string text = os.str();
-    EXPECT_NE(text.find("\"name\": \"loadToUse\""), std::string::npos);
-    EXPECT_NE(text.find("\"count\": 3"), std::string::npos);
-    EXPECT_NE(text.find("\"range\": \"[0,4)\""), std::string::npos);
-    EXPECT_NE(text.find("\"range\": \"[4,8)\""), std::string::npos);
-    EXPECT_NE(text.find("\"overflow\": 1"), std::string::npos);
-    EXPECT_EQ(text.front(), '{');
-    EXPECT_EQ(text.find_last_not_of(" \n"),
-              text.rfind('}')); // document closes cleanly
 }
 
 /**
@@ -210,7 +175,6 @@ TEST(MetricsRegistry, HistogramRowsRoundTripThroughCsv)
     m.loadToUse.add(33);
     m.loadToUse.add(1u << 20); // overflow
     m.mshrOccupancy.add(3);
-    m.count("merges", 11);
     StatSet row;
     m.report(row);
 
@@ -267,7 +231,6 @@ TEST(MetricsRegistry, HistogramRowsRoundTripThroughCsv)
     EXPECT_EQ(column("metrics.loadToUse.count"), 3.0);
     EXPECT_EQ(column("metrics.loadToUse.overflow"), 1.0);
     EXPECT_EQ(column("metrics.mshrOccupancy.count"), 1.0);
-    EXPECT_EQ(column("metrics.ctr.merges"), 11.0);
 }
 
 // ---------------------------------------------------------------------

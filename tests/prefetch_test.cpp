@@ -108,8 +108,7 @@ TEST(Str, TableReplacementEvictsLru)
 
 TEST(Sld, FiresAfterTwoLinesOfMacroBlock)
 {
-    SldPrefetcher sld({.linesPerBlock = 4, .tableEntries = 8,
-                       .lineSize = 128});
+    SldPrefetcher sld({.linesPerBlock = 4, .tableEntries = 8}, 128);
     RecordingIssuer issuer;
     // Macro block = 512 B. Touch lines 0 and 1 of block at 0x2000.
     sld.onAccess(access(0x100, 0x2000), issuer);
@@ -122,7 +121,7 @@ TEST(Sld, FiresAfterTwoLinesOfMacroBlock)
 
 TEST(Sld, FiresOncePerBlock)
 {
-    SldPrefetcher sld{SldConfig{}};
+    SldPrefetcher sld{SldConfig{}, 128};
     RecordingIssuer issuer;
     sld.onAccess(access(0x100, 0x2000), issuer);
     sld.onAccess(access(0x100, 0x2080), issuer);
@@ -136,7 +135,7 @@ TEST(Sld, LargeStridesNeverCoTouchABlock)
 {
     // The paper's point: strides beyond two lines defeat macro-block
     // prefetching entirely.
-    SldPrefetcher sld{SldConfig{}};
+    SldPrefetcher sld{SldConfig{}, 128};
     RecordingIssuer issuer;
     for (int i = 0; i < 16; ++i)
         sld.onAccess(access(0x100, static_cast<Addr>(i) * 4352), issuer);
@@ -147,7 +146,7 @@ TEST(Sld, SmallStridesCovered)
 {
     // 256 B stride = 2 lines: every other line of each block is
     // touched, so the second touch of a block fires.
-    SldPrefetcher sld{SldConfig{}};
+    SldPrefetcher sld{SldConfig{}, 128};
     RecordingIssuer issuer;
     for (int i = 0; i < 8; ++i)
         sld.onAccess(access(0x100, static_cast<Addr>(i) * 256), issuer);

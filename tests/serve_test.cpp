@@ -57,18 +57,15 @@ semanticSnapshot(const std::vector<std::pair<std::string, std::string>>&
 /** Build a run-request document from job specs. */
 std::string
 runRequest(const std::vector<ServeJobSpec>& jobs,
-           double timeout_seconds = 0.0, int retries = 0)
+           double timeout_seconds = 0.0)
 {
     std::ostringstream os;
     JsonWriter json(os);
     json.beginObject();
     json.field("type", "run");
-    if (timeout_seconds > 0.0 || retries > 0) {
+    if (timeout_seconds > 0.0) {
         json.beginObject("options");
-        if (timeout_seconds > 0.0)
-            json.field("timeoutSeconds", timeout_seconds);
-        if (retries > 0)
-            json.field("retries", static_cast<std::uint64_t>(retries));
+        json.field("timeoutSeconds", timeout_seconds);
         json.endObject();
     }
     json.beginArray("jobs");
@@ -223,10 +220,10 @@ TEST(CacheKey, GoldenKeysArePinned)
         // Config 1: all defaults, the named KM workload at scale 1.
         ServeJobSpec km;
         km.workload = "KM";
-        EXPECT_EQ(computeCacheKey("apres-results-v1",
+        EXPECT_EQ(computeCacheKey("apres-results-v2",
                                   kernelFingerprint(km),
                                   semanticSnapshot()),
-                  "3c24d54446184fe6e1465d436456a7c9");
+                  "bec8a5cfd7973deaef2ee40f4226e1f1");
     }
     {
         // Config 2: the APRES stack with a 64 KiB L1 and a pinned
@@ -236,7 +233,7 @@ TEST(CacheKey, GoldenKeysArePinned)
                           "load r0 gen=0\n";
         EXPECT_EQ(kernelFingerprint(text),
                   "text:25c5583523273acb4cb51887e8c7a1d3");
-        EXPECT_EQ(computeCacheKey("apres-results-v1",
+        EXPECT_EQ(computeCacheKey("apres-results-v2",
                                   kernelFingerprint(text),
                                   semanticSnapshot({
                                       {"scheduler", "laws"},
@@ -244,7 +241,7 @@ TEST(CacheKey, GoldenKeysArePinned)
                                       {"l1.sizeBytes", "65536"},
                                       {"seed", "12345"},
                                   })),
-                  "8df83e6d433d80998781537b07e7164a");
+                  "d6577ff62d3ba1ef5cd7260376db8830");
     }
 }
 
@@ -319,7 +316,7 @@ TEST(Protocol, ParsesRunRequestWithOptionsAndOverrides)
 {
     const ServeRequest req = parseServeRequest(
         "{\"type\": \"run\","
-        " \"options\": {\"timeoutSeconds\": 2.5, \"retries\": 3},"
+        " \"options\": {\"timeoutSeconds\": 2.5},"
         " \"jobs\": [{\"workload\": \"KM\", \"scale\": 0.5,"
         "   \"overrides\": {\"l1.sizeBytes\": 65536,"
         "                   \"scheduler\": \"laws\","
@@ -327,7 +324,6 @@ TEST(Protocol, ParsesRunRequestWithOptionsAndOverrides)
         "                   \"seed\": 18446744073709551615}}]}");
     EXPECT_EQ(req.type, ServeRequest::Type::kRun);
     EXPECT_DOUBLE_EQ(req.timeoutSeconds, 2.5);
-    EXPECT_EQ(req.retries, 3);
     ASSERT_EQ(req.jobs.size(), 1u);
     const ServeJobSpec& job = req.jobs[0];
     EXPECT_EQ(job.workload, "KM");
@@ -372,6 +368,20 @@ TEST(Protocol, RejectsMalformedRequests)
                            " \"options\": {\"timeoutSeconds\": -1},"
                            " \"jobs\": [{\"workload\": \"KM\"}]}");
                    });
+}
+
+TEST(Protocol, RejectsUnknownRunOptions)
+{
+    // timeoutSeconds is the only run option; any other key is a typed
+    // ConfigError that names it, never a silent no-op.
+    for (const std::string key : {"retries", "turbo"}) {
+        expectSimError(SimErrorKind::kConfig, "options." + key, [&] {
+            parseServeRequest("{\"type\": \"run\","
+                              " \"options\": {\"timeoutSeconds\": 1, \"" +
+                              key + "\": 1},"
+                              " \"jobs\": [{\"workload\": \"KM\"}]}");
+        });
+    }
 }
 
 // --------------------------------------------------------------------
@@ -615,8 +625,7 @@ TEST(ServeDaemon, TimeoutWithRetriesThroughServicePath)
     ServeDaemon daemon(opts);
 
     // KM at 5x scale runs ~8 s; a 1.5 s deadline forces the timeout
-    // path (twice, because of the retry) while the ~20 ms job in the
-    // same batch still completes — the service always runs with
+    // path while the ~20 ms job in the same batch still completes — the service always runs with
     // keep-going semantics. The margins are wide on both sides so
     // sanitizer-instrumented builds (~10x slower) stay on the same
     // side of the deadline.
@@ -626,8 +635,7 @@ TEST(ServeDaemon, TimeoutWithRetriesThroughServicePath)
     slow.label = "slow";
     ServeJobSpec quick = kmJob(32768, /*scale=*/0.01);
     const std::string response = daemon.handleRequest(
-        runRequest({slow, quick}, /*timeout_seconds=*/1.5,
-                   /*retries=*/1));
+        runRequest({slow, quick}, /*timeout_seconds=*/1.5));
 
     const JsonValue doc = JsonValue::parse(response);
     const JsonValue& runs = doc.at("runs");
@@ -639,7 +647,7 @@ TEST(ServeDaemon, TimeoutWithRetriesThroughServicePath)
 
     // Timeouts are environmental; the repeat re-runs the slow job.
     const std::string again = daemon.handleRequest(
-        runRequest({slow, quick}, 1.5, 0));
+        runRequest({slow, quick}, 1.5));
     const JsonValue doc2 = JsonValue::parse(again);
     EXPECT_FALSE(doc2.at("runs").at(0).at("cached").asBool());
     EXPECT_TRUE(doc2.at("runs").at(1).at("cached").asBool());

@@ -229,10 +229,11 @@ TEST(Sim, RejectsMoreThan64WarpsPerBlock)
 TEST(Sim, RejectsUnbuildableMemoryGeometry)
 {
     // The cache and DRAM values pass the registry's bound on their key
-    // but describe a cache the model cannot index (zero sets, a set
-    // count or line size that is not a power of two, 2^32 sets that
-    // overflow the 32-bit set index) or a DRAM row shorter than a line,
-    // so the Gpu rejects them before the first cycle; a one-line SLD
+    // but describe a cache the model cannot index or afford (zero
+    // sets, a set count or line size that is not a power of two, 2^32
+    // or 2^26 sets past the 2^20-set bound, where 2^26 sets would ask
+    // for a 256 MiB slot index per SM) or a DRAM row shorter than a
+    // line, so the Gpu rejects them before the first cycle; a one-line SLD
     // block, an SLD block wider than its 32-bit line mask and
     // prefetcher tables or degrees past 4096 fail their key's own
     // bound. Either way the ConfigError names the first key of the
@@ -246,6 +247,9 @@ TEST(Sim, RejectsUnbuildableMemoryGeometry)
                  {{"l2.sizeBytes", "4294967296"},
                   {"l2.ways", "1"},
                   {"l2.lineSize", "1"}},
+                 {{"l1.lineSize", "16"},
+                  {"l1.ways", "1"},
+                  {"l1.sizeBytes", "1073741824"}},
                  {{"dram.rowBytes", "64"}},
                  {{"sld.linesPerBlock", "1"}},
                  {{"sld.linesPerBlock", "33"}},
