@@ -341,8 +341,7 @@ def scenario_overload(serve_bin, scratch):
     """Burst a 1-dispatcher daemon: typed sheds, then recovery."""
     daemon = Daemon(
         serve_bin, scratch, "overload",
-        extra_args=["--queue-depth", "1", "--dispatch-threads", "1",
-                    "--retry-after-ms", "50"],
+        extra_args=["--queue-depth", "1", "--retry-after-ms", "50"],
         fault_spec="job.execute=sleep:250")
 
     results = []

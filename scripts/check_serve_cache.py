@@ -24,8 +24,11 @@ asserts the LRU contract:
   * the surviving <key>.json files are exactly a SUFFIX of the
     submission order (pure LRU: whatever survives is the newest tail),
   * the daemon's accounting (diskEntries, diskBytes) matches the
-    directory byte-for-byte, and
-  * the caps hold (diskBytes <= maxBytes, diskEntries <= maxEntries).
+    directory byte-for-byte,
+  * the caps hold (diskBytes <= maxBytes, diskEntries <= maxEntries),
+    in memory too (memoryEntries <= maxEntries), and
+  * the oldest (evicted) key left memory as well as disk: asked for
+    again, it comes back cached: false and runs one more simulation.
 
 usage: check_serve_cache.py --eviction --socket SOCK --cache-dir DIR
                             [--jobs N] [--stats OUT_JSON]
@@ -105,9 +108,8 @@ def run_eviction_mode(args) -> int:
     # Submit one job per request so the daemon's access order is
     # exactly our submission order. Distinct seeds give distinct cache
     # keys with identical (tiny) runtimes.
-    keys = []
-    for i in range(args.jobs):
-        response = serve_request(args.socket, {
+    def job_request(i):
+        return {
             "type": "run",
             "jobs": [{
                 "label": f"evict-{i}",
@@ -115,7 +117,11 @@ def run_eviction_mode(args) -> int:
                 "scale": 0.01,
                 "overrides": {"seed": 90000 + i},
             }],
-        })
+        }
+
+    keys = []
+    for i in range(args.jobs):
+        response = serve_request(args.socket, job_request(i))
         check(response.get("type") == "result",
               f"evict-{i}: got a result response")
         if response.get("type") != "result":
@@ -127,7 +133,8 @@ def run_eviction_mode(args) -> int:
     check(len(set(keys)) == len(keys), "every configuration got a "
                                        f"distinct cache key ({len(keys)})")
 
-    stats = serve_request(args.socket, {"type": "stats"})["cache"]
+    stats_doc = serve_request(args.socket, {"type": "stats"})
+    stats = stats_doc["cache"]
     on_disk = {
         name[:-len(".json")]: os.path.getsize(
             os.path.join(args.cache_dir, name))
@@ -149,6 +156,9 @@ def run_eviction_mode(args) -> int:
         check(stats["diskEntries"] <= stats["maxEntries"],
               f"entry cap holds ({stats['diskEntries']} <= "
               f"{stats['maxEntries']})")
+        check(stats["memoryEntries"] <= stats["maxEntries"],
+              f"entry cap holds in memory ({stats['memoryEntries']} <= "
+              f"{stats['maxEntries']})")
 
     # Pure LRU: the survivors must be exactly the newest tail of the
     # submission order — an eviction policy that skipped an older key
@@ -160,6 +170,18 @@ def run_eviction_mode(args) -> int:
           f"({len(survivors)}/{len(keys)})")
     check(set(on_disk) <= set(keys),
           "no unexplained files in the cache directory")
+
+    # The oldest key was evicted from disk, so it must have left
+    # memory too: asking again simulates it once more.
+    if keys[0] not in on_disk:
+        again = serve_request(args.socket, job_request(0))
+        check(again["runs"][0]["cached"] is False,
+              "the evicted oldest key comes back uncached")
+        check(again["simulations"] == stats_doc["simulations"] + 1,
+              f"re-requesting it ran one simulation "
+              f"({stats_doc['simulations']} -> {again['simulations']})")
+    else:
+        check(False, "the oldest key was evicted from disk")
 
     if args.stats:
         summary = {

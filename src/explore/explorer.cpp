@@ -22,6 +22,15 @@
 namespace apres {
 namespace {
 
+/** Probe batches keep going: a failed probe row still lights bins. */
+RunnerOptions
+probeRunnerOptions()
+{
+    RunnerOptions opts;
+    opts.keepGoing = true;
+    return opts;
+}
+
 /** Candidate name: admission counter + signature content hash. */
 std::string
 candidateName(std::size_t index, const KernelSignature& sig)
@@ -65,19 +74,12 @@ Explorer::defaultProbes()
     };
 }
 
-std::vector<std::string>
-Explorer::probeSignature(const KernelSignature& sig,
-                         const std::string& name) const
+void
+Explorer::submitProbes(SweepRunner& runner, const KernelSignature& sig,
+                       const std::string& name) const
 {
     const auto kernel =
         std::make_shared<const Kernel>(buildKernel(sig, name));
-
-    // The probes are independent simulations: run them as one batch.
-    // Results come back in submission order, so the bins do not
-    // depend on the worker count.
-    RunnerOptions runner_opts;
-    runner_opts.keepGoing = true;
-    SweepRunner runner(runner_opts);
     for (const ProbeConfig& probe : probes_) {
         GpuConfig cfg;
         ConfigRegistry reg(cfg);
@@ -112,16 +114,33 @@ Explorer::probeSignature(const KernelSignature& sig,
         };
         runner.submit(std::move(job));
     }
-    const std::vector<SweepResult> results = runner.runAll();
+}
+
+std::vector<std::string>
+Explorer::probeBins(const std::vector<SweepResult>& results,
+                    std::size_t first) const
+{
     std::vector<std::string> bins;
     for (std::size_t i = 0; i < probes_.size(); ++i) {
         const auto probe_bins = coverageBins(probes_[i].label,
-                                             results[i].result);
+                                             results[first + i].result);
         bins.insert(bins.end(), probe_bins.begin(), probe_bins.end());
     }
     std::sort(bins.begin(), bins.end());
     bins.erase(std::unique(bins.begin(), bins.end()), bins.end());
     return bins;
+}
+
+std::vector<std::string>
+Explorer::probeSignature(const KernelSignature& sig,
+                         const std::string& name) const
+{
+    // The probes are independent simulations: run them as one batch.
+    // Results come back in submission order, so the bins do not
+    // depend on the worker count.
+    SweepRunner runner(probeRunnerOptions());
+    submitProbes(runner, sig, name);
+    return probeBins(runner.runAll(), 0);
 }
 
 std::size_t
@@ -140,6 +159,11 @@ Explorer::loadCorpus()
     }
     std::sort(files.begin(), files.end());
 
+    // Every file is parsed (failing on the first bad one, in file
+    // order) and queued before anything runs; then all their probes
+    // run as one batch, and coverage grows in file order.
+    SweepRunner runner(probeRunnerOptions());
+    std::vector<CorpusEntry> loaded;
     for (const std::string& path : files) {
         std::ifstream in(path);
         if (!in)
@@ -157,7 +181,13 @@ Explorer::loadCorpus()
         entry.signature = parseSignature(first_line.substr(marker.size()));
         entry.name = fs::path(path).stem().string();
         entry.loaded = true;
-        entry.bins = probeSignature(entry.signature, entry.name);
+        submitProbes(runner, entry.signature, entry.name);
+        loaded.push_back(std::move(entry));
+    }
+    const std::vector<SweepResult> results = runner.runAll();
+    for (std::size_t f = 0; f < loaded.size(); ++f) {
+        CorpusEntry& entry = loaded[f];
+        entry.bins = probeBins(results, f * probes_.size());
         entry.newBins = coverage_.add(entry.bins);
         corpus_.push_back(std::move(entry));
     }

@@ -6,12 +6,13 @@
  * mutates a corpus parent (chosen by rarity-weighted tournament: a
  * kernel holding bins few others hold is the most promising thing to
  * perturb), builds the kernel, and runs it under a small set of probe
- * machine configurations, one SweepRunner batch per candidate. The bins
- * the runs light up (coverage.hpp) are folded into the campaign
- * coverage map; a candidate that lights at least one previously-dark
- * bin is admitted to the corpus. After the budget drains, greedy
- * backward minimization drops admitted kernels whose bins are all
- * covered by the rest, and the survivors are written to the corpus
+ * machine configurations, one SweepRunner batch per candidate (and one
+ * for the whole corpus a campaign loads). The bins the runs light up
+ * (coverage.hpp) are folded into the campaign coverage map; a
+ * candidate that lights at least one previously-dark bin is admitted
+ * to the corpus. After the budget drains, greedy backward
+ * minimization drops admitted kernels whose bins are all covered by
+ * the rest, and the survivors are written to the corpus
  * directory as self-describing kernel-text files (leading `# sig:`
  * comment), ready to be checked in as regression workloads.
  *
@@ -37,6 +38,7 @@
 
 #include "explore/coverage.hpp"
 #include "explore/signature.hpp"
+#include "sim/runner.hpp"
 
 namespace apres {
 
@@ -127,6 +129,18 @@ class Explorer
     void writeReport(std::ostream& os) const;
 
   private:
+    /** Queue @p sig's probe jobs on @p runner, in probe order. */
+    void submitProbes(SweepRunner& runner, const KernelSignature& sig,
+                      const std::string& name) const;
+
+    /**
+     * The sorted, distinct bins of one signature's probe results,
+     * which start at results[@p first].
+     */
+    std::vector<std::string> probeBins(const std::vector<SweepResult>& results,
+                                       std::size_t first) const;
+
+    /** Parse every corpus file, then probe them all as one batch. */
     std::size_t loadCorpus();
     std::size_t pickParent(Rng& rng) const;
     void minimizeCorpus();

@@ -27,15 +27,36 @@ knownWorkload(const std::string& name)
 
 } // namespace
 
+SimulationSlots::SimulationSlots(int slots) : free_(std::max(1, slots)) {}
+
+SimulationSlots::Claim::Claim(SimulationSlots& slots, std::size_t want)
+    : slots_(slots)
+{
+    std::unique_lock<std::mutex> lock(slots_.mu_);
+    slots_.freed_.wait(lock, [this] { return slots_.free_ > 0; });
+    count_ = static_cast<int>(std::min<std::size_t>(
+        std::max<std::size_t>(want, 1),
+        static_cast<std::size_t>(slots_.free_)));
+    slots_.free_ -= count_;
+}
+
+SimulationSlots::Claim::~Claim()
+{
+    {
+        const std::lock_guard<std::mutex> lock(slots_.mu_);
+        slots_.free_ += count_;
+    }
+    slots_.freed_.notify_all();
+}
+
 std::vector<CachedRun>
 runCachedBatch(const std::vector<ServeJobSpec>& jobs,
                const std::string& fingerprint, ResultCache& cache,
-               RunnerOptions runner)
+               RunnerOptions runner, SimulationSlots* slots)
 {
     std::vector<CachedRun> runs(jobs.size());
-    runner.keepGoing = true; // errors become rows, the batch completes
-    SweepRunner sweep(runner);
-    std::vector<std::size_t> missed; // runner slot -> job index
+    std::vector<SweepJob> misses;
+    std::vector<std::size_t> missed; // miss -> job index
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const ServeJobSpec& spec = jobs[i];
@@ -64,7 +85,7 @@ runCachedBatch(const std::vector<ServeJobSpec>& jobs,
                 run.cached = true;
                 run.payload = std::move(*hit);
             } else {
-                sweep.submit(std::move(job));
+                misses.push_back(std::move(job));
                 missed.push_back(i);
             }
         } catch (const SimError& e) {
@@ -76,7 +97,23 @@ runCachedBatch(const std::vector<ServeJobSpec>& jobs,
         }
     }
 
-    const std::vector<SweepResult> results = sweep.runAll();
+    if (misses.empty())
+        return runs; // all hits: no slot claimed
+
+    std::vector<SweepResult> results;
+    {
+        // The slots go back once the sweep drains, before the stores.
+        std::optional<SimulationSlots::Claim> claim;
+        if (slots) {
+            claim.emplace(*slots, misses.size());
+            runner.threads = claim->count();
+        }
+        runner.keepGoing = true; // errors become rows, the batch completes
+        SweepRunner sweep(runner);
+        for (SweepJob& job : misses)
+            sweep.submit(std::move(job));
+        results = sweep.runAll();
+    }
     for (std::size_t m = 0; m < missed.size(); ++m) {
         CachedRun& run = runs[missed[m]];
         const RunResult& r = results[m].result;

@@ -11,6 +11,9 @@
 #ifndef APRES_SERVE_BATCH_HPP
 #define APRES_SERVE_BATCH_HPP
 
+#include <condition_variable>
+#include <cstddef>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -32,6 +35,48 @@ struct CachedRun
 };
 
 /**
+ * A budget of simulation slots shared by concurrent batches: the bound
+ * on simulations running at once. A batch with misses claims slots
+ * after its lookups, so cache hits never take one.
+ */
+class SimulationSlots
+{
+  public:
+    /** Slots held by one batch; given back on destruction. */
+    class Claim
+    {
+      public:
+        /**
+         * Wait until a slot is free, then take up to @p want of the
+         * free ones (at least one).
+         */
+        Claim(SimulationSlots& slots, std::size_t want);
+        ~Claim();
+
+        Claim(const Claim&) = delete;
+        Claim& operator=(const Claim&) = delete;
+
+        /** Slots held: the workers the batch may run. */
+        int count() const { return count_; }
+
+      private:
+        SimulationSlots& slots_;
+        int count_ = 0;
+    };
+
+    /** A budget of @p slots slots (at least one). */
+    explicit SimulationSlots(int slots);
+
+    SimulationSlots(const SimulationSlots&) = delete;
+    SimulationSlots& operator=(const SimulationSlots&) = delete;
+
+  private:
+    std::mutex mu_;
+    std::condition_variable freed_;
+    int free_; ///< guarded by mu_
+};
+
+/**
  * Run @p jobs through @p cache, in order:
  *
  *  1. resolve each spec to a config, a kernel and a cache key
@@ -40,14 +85,17 @@ struct CachedRun
  *     unkeyed error row and is never cached or executed;
  *  2. look each key up;
  *  3. simulate the misses on one SweepRunner built from @p runner,
- *     which keeps going past failed jobs;
+ *     which keeps going past failed jobs. With @p slots, the misses
+ *     first claim workers from that budget and run on as many as
+ *     they got, in place of runner.threads;
  *  4. serialize every fresh result and store the "ok" ones — errors
  *     and timeouts are environmental or diagnostic and must re-run.
  */
 std::vector<CachedRun> runCachedBatch(const std::vector<ServeJobSpec>& jobs,
                                       const std::string& fingerprint,
                                       ResultCache& cache,
-                                      RunnerOptions runner);
+                                      RunnerOptions runner,
+                                      SimulationSlots* slots = nullptr);
 
 } // namespace apres
 

@@ -2,7 +2,7 @@
  * @file
  * Daemon implementation: overload-controlled socket plumbing (bounded
  * admission queue, dispatcher pool, deadlines, typed sheds) + batch
- * handling over the result cache and the sweep worker pool.
+ * handling over the result cache and the simulation-slot budget.
  */
 
 #include "daemon.hpp"
@@ -24,7 +24,6 @@
 #include "common/json_value.hpp"
 #include "common/log.hpp"
 #include "common/sim_error.hpp"
-#include "serve/batch.hpp"
 
 namespace apres {
 
@@ -206,8 +205,12 @@ ServeDaemon::ServeDaemon(ServeOptions options)
     : opts_(std::move(options)),
       fingerprint_(opts_.fingerprint.empty() ? serveFingerprint()
                                              : opts_.fingerprint),
+      threads_(std::clamp(opts_.threads > 0 ? opts_.threads
+                                            : defaultJobCount(),
+                          1, kMaxServeThreads)),
       cache_(opts_.cacheDir,
-             CacheLimits{opts_.cacheMaxBytes, opts_.cacheMaxEntries})
+             CacheLimits{opts_.cacheMaxBytes, opts_.cacheMaxEntries}),
+      slots_(threads_)
 {
 }
 
@@ -254,9 +257,8 @@ ServeDaemon::start()
         queueClosed_ = false;
     }
     running_.store(true);
-    const int dispatchers = std::max(1, opts_.dispatchThreads);
-    dispatchers_.reserve(static_cast<std::size_t>(dispatchers));
-    for (int i = 0; i < dispatchers; ++i)
+    dispatchers_.reserve(static_cast<std::size_t>(threads_));
+    for (int i = 0; i < threads_; ++i)
         dispatchers_.emplace_back([this] { dispatchLoop(); });
     loop_ = std::thread([this] { acceptLoop(); });
 }
@@ -607,9 +609,7 @@ ServeDaemon::handleRequest(const std::string& request_json)
         json.field("queueDepth",
                    static_cast<std::uint64_t>(
                        std::max(1, opts_.queueDepth)));
-        json.field("dispatchThreads",
-                   static_cast<std::uint64_t>(
-                       std::max(1, opts_.dispatchThreads)));
+        json.field("threads", static_cast<std::uint64_t>(threads_));
         json.field("requestsServed", load.requestsServed);
         json.field("shedQueueFull", load.shedQueueFull);
         json.field("shedDeadline", load.shedDeadline);
@@ -642,10 +642,9 @@ std::string
 ServeDaemon::handleRun(const ServeRequest& request)
 {
     RunnerOptions runner;
-    runner.threads = opts_.threads;
     runner.jobTimeoutSeconds = request.timeoutSeconds;
     const std::vector<CachedRun> runs =
-        runCachedBatch(request.jobs, fingerprint_, cache_, runner);
+        runCachedBatch(request.jobs, fingerprint_, cache_, runner, &slots_);
     simulations_.fetch_add(
         static_cast<std::uint64_t>(std::count_if(
             runs.begin(), runs.end(),

@@ -4,13 +4,23 @@
  *
  * The daemon accepts batched run requests as JSON over an AF_UNIX
  * stream socket (protocol.hpp), answers cache hits straight from the
- * two-tier content-addressed ResultCache, and queues the misses
- * across the existing sweep worker pool (SweepRunner, which runs each
- * config as given, so a job's identity never depends on its batch
- * position). Every uncached "ok" result is serialized
- * canonically, stored under its content hash, and — on every later
- * request for the same semantic configuration — returned
- * bitwise-identical with zero re-simulation.
+ * two-tier content-addressed ResultCache, and runs the misses on the
+ * sweep worker pool (SweepRunner, which runs each config as given, so
+ * a job's identity never depends on its batch position). Every
+ * uncached "ok" result is serialized canonically, stored under its
+ * content hash, and — on every later request for the same semantic
+ * configuration — returned bitwise-identical with zero re-simulation.
+ * The cache caps (serve.cacheMaxBytes / serve.cacheMaxEntries) bound
+ * both tiers, so with a cap set the daemon's memory stays bounded
+ * however many distinct results it serves.
+ *
+ * Concurrency: serve.threads dispatchers serve up to that many
+ * requests at once, and one daemon-wide budget of serve.threads
+ * simulation slots (SimulationSlots, batch.hpp) bounds the
+ * simulations running at once. A request claims slots only after its
+ * lookups, for its misses, so a request whose jobs all hit never
+ * waits behind another request's simulation unless every dispatcher
+ * is busy with misses; a lone batch still fans out to every slot.
  *
  * Framing: one request per connection. The client writes the request
  * document and shuts down its write side; the daemon reads to EOF,
@@ -19,9 +29,8 @@
  * Overload control: the accept loop only admits a connection when the
  * bounded admission queue (serve.queueDepth) has room; otherwise the
  * client gets a typed {"type":"overloaded","retryAfterMs":...} shed
- * response immediately instead of queueing silently. Dispatcher
- * threads (serve.dispatchThreads, default 1 — batch parallelism lives
- * inside the worker pool) drain the queue; a request that waited past
+ * response immediately instead of queueing silently. The dispatchers
+ * drain the queue; a request that waited past
  * serve.requestDeadlineMs is shed the same way without being parsed.
  * Socket reads and writes carry deadlines (serve.ioTimeoutMs) so a
  * slow or half-open client cannot pin a dispatcher, and requests over
@@ -48,10 +57,14 @@
 #include <thread>
 #include <vector>
 
+#include "serve/batch.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_cache.hpp"
 
 namespace apres {
+
+/** Upper bound of serve.threads. */
+constexpr int kMaxServeThreads = 256;
 
 /**
  * Daemon configuration. Every field is reachable as a serve.* key
@@ -66,7 +79,10 @@ struct ServeOptions
     /** Persistent cache directory; empty keeps the cache in memory. */
     std::string cacheDir;
 
-    /** Worker threads per batch; <= 0 selects defaultJobCount(). */
+    /**
+     * Requests served and simulations run at once; <= 0 selects
+     * defaultJobCount(). Clamped to kMaxServeThreads.
+     */
     int threads = 0;
 
     /**
@@ -77,9 +93,6 @@ struct ServeOptions
 
     /** Admission-queue depth; connections beyond it are shed. */
     int queueDepth = 16;
-
-    /** Threads draining the admission queue. */
-    int dispatchThreads = 1;
 
     /**
      * Maximum time a connection may wait in the queue before it is
@@ -96,10 +109,10 @@ struct ServeOptions
     /** Per-connection socket read/write deadline; 0 disables. */
     std::uint64_t ioTimeoutMs = 10000;
 
-    /** Disk-cache size cap in payload bytes; 0 = unlimited. */
+    /** Cache size cap in payload bytes, per tier; 0 = unlimited. */
     std::uint64_t cacheMaxBytes = 0;
 
-    /** Disk-cache entry-count cap; 0 = unlimited. */
+    /** Cache entry-count cap, per tier; 0 = unlimited. */
     std::uint64_t cacheMaxEntries = 0;
 };
 
@@ -194,7 +207,9 @@ class ServeDaemon
 
     ServeOptions opts_;
     std::string fingerprint_;
+    const int threads_; ///< resolved serve.threads
     ResultCache cache_;
+    SimulationSlots slots_;
     std::atomic<std::uint64_t> simulations_{0};
     std::atomic<bool> running_{false};
     std::atomic<bool> stopRequested_{false};

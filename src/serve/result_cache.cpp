@@ -1,7 +1,7 @@
 /**
  * @file
- * Result-cache implementation: bounded LRU disk tier with a crash-safe
- * journal, startup scrub and a one-way degradation ladder.
+ * Result-cache implementation: LRU-bounded memory and disk tiers, a
+ * crash-safe journal, startup scrub and a one-way degradation ladder.
  */
 
 #include "result_cache.hpp"
@@ -57,6 +57,60 @@ validPayload(const std::string& payload)
 }
 
 } // namespace
+
+void
+ResultCache::Recency::touch(const std::string& key, std::uint64_t bytes)
+{
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+        order_.push_back(key);
+        index_[key] = {std::prev(order_.end()), bytes};
+        bytes_ += bytes;
+    } else {
+        order_.splice(order_.end(), order_, it->second.it);
+        bytes_ += bytes - it->second.bytes;
+        it->second.bytes = bytes;
+    }
+}
+
+bool
+ResultCache::Recency::refresh(const std::string& key)
+{
+    const auto it = index_.find(key);
+    if (it == index_.end())
+        return false;
+    order_.splice(order_.end(), order_, it->second.it);
+    return true;
+}
+
+void
+ResultCache::Recency::pushOldest(const std::string& key,
+                                 std::uint64_t bytes)
+{
+    order_.push_front(key);
+    index_[key] = {order_.begin(), bytes};
+    bytes_ += bytes;
+}
+
+std::uint64_t
+ResultCache::Recency::forget(const std::string& key)
+{
+    const auto it = index_.find(key);
+    if (it == index_.end())
+        return 0;
+    const std::uint64_t bytes = it->second.bytes;
+    bytes_ -= bytes;
+    order_.erase(it->second.it);
+    index_.erase(it);
+    return bytes;
+}
+
+bool
+ResultCache::Recency::over(const CacheLimits& limits) const
+{
+    return (limits.maxBytes != 0 && bytes_ > limits.maxBytes) ||
+           (limits.maxEntries != 0 && index_.size() > limits.maxEntries);
+}
 
 const char*
 cacheDiskModeName(CacheDiskMode mode)
@@ -172,22 +226,18 @@ ResultCache::scrubLocked()
                 continue; // stale or duplicate journal line
             }
             journaled.emplace(line, true);
-            lru_.push_back(line);
-            diskIndex_[line] = {std::prev(lru_.end()), found[line]};
-            diskBytes_ += found[line];
+            disk_.touch(line, found[line]);
         }
     }
     std::sort(unjournaled.begin(), unjournaled.end());
-    // Iterate newest-first so push_front leaves the oldest unjournaled
+    // Iterate newest-first so pushOldest leaves the oldest unjournaled
     // entry at the very front of the LRU (first victim).
     for (auto it = unjournaled.rbegin(); it != unjournaled.rend();
          ++it) {
         const std::string& key = it->second;
         if (journaled.count(key))
             continue;
-        lru_.push_front(key);
-        diskIndex_[key] = {lru_.begin(), found[key]};
-        diskBytes_ += found[key];
+        disk_.pushOldest(key, found[key]);
         journalDirty_ = true;
     }
 
@@ -197,31 +247,22 @@ ResultCache::scrubLocked()
 }
 
 void
-ResultCache::touchLocked(const std::string& key, std::uint64_t bytes)
+ResultCache::rememberLocked(const std::string& key,
+                            const std::string& payload)
 {
-    const auto it = diskIndex_.find(key);
-    if (it == diskIndex_.end()) {
-        lru_.push_back(key);
-        diskIndex_[key] = {std::prev(lru_.end()), bytes};
-        diskBytes_ += bytes;
-    } else {
-        lru_.splice(lru_.end(), lru_, it->second.lruIt);
-        diskBytes_ += bytes - it->second.bytes;
-        it->second.bytes = bytes;
+    memory_[key] = payload;
+    memoryRecency_.touch(key, payload.size());
+    while (memoryRecency_.over(limits_)) {
+        const std::string victim = memoryRecency_.oldest();
+        forgetMemoryLocked(victim);
     }
-    journalDirty_ = true;
 }
 
 void
-ResultCache::forgetLocked(const std::string& key)
+ResultCache::forgetMemoryLocked(const std::string& key)
 {
-    const auto it = diskIndex_.find(key);
-    if (it == diskIndex_.end())
-        return;
-    diskBytes_ -= it->second.bytes;
-    lru_.erase(it->second.lruIt);
-    diskIndex_.erase(it);
-    journalDirty_ = true;
+    memoryRecency_.forget(key);
+    memory_.erase(key);
 }
 
 void
@@ -229,15 +270,8 @@ ResultCache::evictToFitLocked()
 {
     if (mode_ != CacheDiskMode::kReadWrite)
         return; // a degraded tier must not churn the directory
-    const auto overCap = [this] {
-        if (limits_.maxBytes != 0 && diskBytes_ > limits_.maxBytes)
-            return true;
-        return limits_.maxEntries != 0 &&
-               diskIndex_.size() > limits_.maxEntries;
-    };
-    while (overCap() && !lru_.empty()) {
-        const std::string victim = lru_.front();
-        const std::uint64_t bytes = diskIndex_[victim].bytes;
+    while (disk_.over(limits_)) {
+        const std::string victim = disk_.oldest();
         std::error_code ec;
         fs::remove(diskPath(victim), ec);
         if (ec) {
@@ -247,9 +281,10 @@ ResultCache::evictToFitLocked()
         // Drop the accounting even when the unlink failed — retrying
         // the same victim forever would wedge the store path, and the
         // scrub of the next start re-adopts any survivor.
-        forgetLocked(victim);
+        stats_.evictedBytes += disk_.forget(victim);
         ++stats_.evictions;
-        stats_.evictedBytes += bytes;
+        journalDirty_ = true;
+        forgetMemoryLocked(victim);
     }
 }
 
@@ -263,7 +298,7 @@ ResultCache::persistJournalLocked()
     const std::string tmp = journalPath() + ".tmp";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        for (const std::string& key : lru_)
+        for (const std::string& key : disk_.order())
             out << key << '\n';
         out.flush();
         if (!out) {
@@ -303,12 +338,11 @@ ResultCache::lookup(const std::string& key)
     const auto it = memory_.find(key);
     if (it != memory_.end()) {
         ++stats_.memoryHits;
+        memoryRecency_.refresh(key);
         // Keep disk recency honest even for hot keys: the disk copy
         // of a frequently-hit entry must not be the next LRU victim.
-        if (mode_ == CacheDiskMode::kReadWrite &&
-            diskIndex_.count(key)) {
-            touchLocked(key, diskIndex_[key].bytes);
-        }
+        if (mode_ == CacheDiskMode::kReadWrite && disk_.refresh(key))
+            journalDirty_ = true;
         return it->second;
     }
 
@@ -361,9 +395,10 @@ ResultCache::lookup(const std::string& key)
                 // the whole batch document.
                 if (validPayload(payload)) {
                     ++stats_.diskHits;
-                    memory_.emplace(key, payload);
+                    rememberLocked(key, payload);
                     if (mode_ == CacheDiskMode::kReadWrite) {
-                        touchLocked(key, payload.size());
+                        disk_.touch(key, payload.size());
+                        journalDirty_ = true;
                         evictToFitLocked();
                         persistJournalLocked();
                     }
@@ -373,7 +408,8 @@ ResultCache::lookup(const std::string& key)
                 logWarn("result cache: discarding corrupt entry ", key);
                 std::error_code ec;
                 fs::remove(path, ec);
-                forgetLocked(key);
+                disk_.forget(key);
+                journalDirty_ = true;
             }
         }
     }
@@ -469,7 +505,7 @@ void
 ResultCache::store(const std::string& key, const std::string& payload)
 {
     const std::lock_guard<std::mutex> lock(mu_);
-    memory_[key] = payload;
+    rememberLocked(key, payload);
     ++stats_.stores;
 
     if (diskDir_.empty())
@@ -480,7 +516,8 @@ ResultCache::store(const std::string& key, const std::string& payload)
     }
     if (!writeDiskEntryLocked(key, payload))
         return;
-    touchLocked(key, payload.size());
+    disk_.touch(key, payload.size());
+    journalDirty_ = true;
     evictToFitLocked();
     persistJournalLocked();
 }
@@ -503,14 +540,14 @@ std::size_t
 ResultCache::diskEntries() const
 {
     const std::lock_guard<std::mutex> lock(mu_);
-    return diskIndex_.size();
+    return disk_.size();
 }
 
 std::uint64_t
 ResultCache::diskBytes() const
 {
     const std::lock_guard<std::mutex> lock(mu_);
-    return diskBytes_;
+    return disk_.bytes();
 }
 
 CacheDiskMode

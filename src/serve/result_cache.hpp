@@ -12,12 +12,16 @@
  * the stored bytes verbatim, which is what makes repeated requests
  * bitwise-identical to the run that produced them.
  *
- * The disk tier is bounded and self-repairing:
+ * Both tiers are bounded, and the disk tier is self-repairing:
  *
- *  - Size/entry caps (CacheLimits) with LRU eviction. Recency lives
- *    in an access-order journal ("journal.lru", one key per line,
- *    oldest first) persisted with the same atomic temp+rename
- *    discipline as the entries, so eviction order survives restarts.
+ *  - Size/entry caps (CacheLimits) with LRU eviction, per tier. The
+ *    memory tier never holds more than the caps, whatever the disk
+ *    mode, and an entry evicted from disk also leaves memory — so the
+ *    caps bound the daemon's memory, not only its directory. Disk
+ *    recency lives in an access-order journal ("journal.lru", one key
+ *    per line, oldest first) persisted with the same atomic
+ *    temp+rename discipline as the entries, so eviction order
+ *    survives restarts.
  *  - A startup scrub walks the directory before serving: orphaned
  *    temp files from a crashed writer are deleted, zero-length and
  *    truncated/corrupt entries are repaired away, and every repair is
@@ -54,11 +58,11 @@
 
 namespace apres {
 
-/** Disk-tier bounds; 0 means unlimited. */
+/** Per-tier bounds, enforced by LRU eviction; 0 means unlimited. */
 struct CacheLimits
 {
-    std::uint64_t maxBytes = 0;   ///< total payload bytes on disk
-    std::uint64_t maxEntries = 0; ///< number of disk entries
+    std::uint64_t maxBytes = 0;   ///< total payload bytes in a tier
+    std::uint64_t maxEntries = 0; ///< number of entries in a tier
 };
 
 /**
@@ -106,7 +110,7 @@ class ResultCache
      * @param disk_dir  directory for the persistent tier (created on
      *                  demand); empty string keeps the cache
      *                  memory-only.
-     * @param limits    disk-tier caps; enforced by LRU eviction.
+     * @param limits    caps on each tier; enforced by LRU eviction.
      * Throws SimError(kConfig) when the directory cannot be created.
      * Construction scrubs the directory (see the file comment).
      */
@@ -159,13 +163,13 @@ class ResultCache
     /** Startup: repair the directory and rebuild the LRU index. */
     void scrubLocked();
 
-    /** Record @p key as most recently used (inserting if new). */
-    void touchLocked(const std::string& key, std::uint64_t bytes);
+    /** Insert @p payload into the memory tier and evict to fit. */
+    void rememberLocked(const std::string& key, const std::string& payload);
 
-    /** Drop @p key from the LRU index (file already handled). */
-    void forgetLocked(const std::string& key);
+    /** Drop @p key from the memory tier, if resident. */
+    void forgetMemoryLocked(const std::string& key);
 
-    /** Evict oldest entries until the caps are satisfied. */
+    /** Evict oldest disk entries until the caps are satisfied. */
     void evictToFitLocked();
 
     /** Atomically rewrite the access journal when dirty. */
@@ -178,23 +182,54 @@ class ResultCache
     /** Take the ladder down to @p target (one-way; counted). */
     void degradeLocked(CacheDiskMode target, int err, const char* op);
 
+    /**
+     * One tier's keys in access order (oldest first) with their
+     * payload sizes: what LRU eviction against the caps needs.
+     */
+    class Recency
+    {
+      public:
+        /** Make @p key the newest entry, inserting it if new. */
+        void touch(const std::string& key, std::uint64_t bytes);
+
+        /** Make @p key the newest entry; false when absent. */
+        bool refresh(const std::string& key);
+
+        /** Insert @p key (absent) as the oldest entry. */
+        void pushOldest(const std::string& key, std::uint64_t bytes);
+
+        /** Drop @p key. @return its bytes; 0 when absent. */
+        std::uint64_t forget(const std::string& key);
+
+        /** Is the entry count or byte total over a cap? */
+        bool over(const CacheLimits& limits) const;
+
+        const std::string& oldest() const { return order_.front(); }
+        std::size_t size() const { return index_.size(); }
+        std::uint64_t bytes() const { return bytes_; }
+        const std::list<std::string>& order() const { return order_; }
+
+      private:
+        struct Slot
+        {
+            std::list<std::string>::iterator it;
+            std::uint64_t bytes = 0;
+        };
+        std::list<std::string> order_;
+        std::unordered_map<std::string, Slot> index_;
+        std::uint64_t bytes_ = 0;
+    };
+
     const std::string diskDir_; ///< empty = memory-only
     const CacheLimits limits_;
     mutable std::mutex mu_;
     std::unordered_map<std::string, std::string> memory_;
+    Recency memoryRecency_;
     ResultCacheStats stats_;
 
     CacheDiskMode mode_ = CacheDiskMode::kReadWrite;
 
-    /** Disk-entry recency: oldest at front, newest at back. */
-    std::list<std::string> lru_;
-    struct DiskEntry
-    {
-        std::list<std::string>::iterator lruIt;
-        std::uint64_t bytes = 0;
-    };
-    std::unordered_map<std::string, DiskEntry> diskIndex_;
-    std::uint64_t diskBytes_ = 0;
+    Recency disk_;
     bool journalDirty_ = false;
 };
 

@@ -13,9 +13,8 @@ ServeConfigRegistry::ServeConfigRegistry(ServeOptions& opts)
     addString("serve.socket", opts.socketPath);
     addString("serve.cacheDir", opts.cacheDir);
     addString("serve.fingerprint", opts.fingerprint);
-    addInt("serve.threads", opts.threads, 0, 4096);
+    addInt("serve.threads", opts.threads, 0, kMaxServeThreads);
     addInt("serve.queueDepth", opts.queueDepth, 1, 1 << 20);
-    addInt("serve.dispatchThreads", opts.dispatchThreads, 1, 256);
     addInt("serve.requestDeadlineMs", opts.requestDeadlineMs, 0);
     addInt("serve.retryAfterMs", opts.retryAfterMs, 1, 3600000);
     addInt("serve.maxRequestBytes", opts.maxRequestBytes, 1);

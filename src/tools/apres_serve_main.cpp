@@ -60,17 +60,19 @@ printHelp()
         "(required)\n"
         "  --cache-dir DIR        persistent cache directory (default: "
         "in-memory only)\n"
-        "  --cache-max-bytes N    disk-cache size cap; LRU eviction "
-        "(default: unlimited)\n"
-        "  --cache-max-entries N  disk-cache entry cap (default: "
-        "unlimited)\n"
-        "  --threads N            worker threads per batch (default: "
-        "hardware concurrency)\n"
+        "  --cache-max-bytes N    cache size cap, memory and disk each; "
+        "LRU eviction\n"
+        "                         (default: unlimited)\n"
+        "  --cache-max-entries N  cache entry cap, memory and disk each "
+        "(default:\n"
+        "                         unlimited)\n"
+        "  --threads N            requests served and simulations run "
+        "at once\n"
+        "                         (0-256; default 0 = hardware "
+        "concurrency)\n"
         "  --queue-depth N        admission-queue depth; connections\n"
         "                         beyond it get a typed overloaded "
         "shed (default: 16)\n"
-        "  --dispatch-threads N   threads draining the queue "
-        "(default: 1)\n"
         "  --request-deadline-ms N  shed requests that waited longer "
         "(default: off)\n"
         "  --io-timeout-ms N      socket read/write deadline "
@@ -127,8 +129,6 @@ run(int argc, char** argv)
             registry.set("serve.threads", next());
         } else if (arg == "--queue-depth") {
             registry.set("serve.queueDepth", next());
-        } else if (arg == "--dispatch-threads") {
-            registry.set("serve.dispatchThreads", next());
         } else if (arg == "--request-deadline-ms") {
             registry.set("serve.requestDeadlineMs", next());
         } else if (arg == "--io-timeout-ms") {

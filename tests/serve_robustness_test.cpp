@@ -2,9 +2,11 @@
  * @file
  * Robustness tests for the serving layer: the deterministic fault
  * injector itself, LRU eviction and journal recovery in the bounded
- * disk cache, the startup scrub, the degradation ladder, and — over a
- * live socket — overload shedding, accept-backoff under fd
- * exhaustion, oversize rejection and queue-wait deadlines.
+ * disk cache, the memory tier's caps in every disk mode, the startup
+ * scrub, the degradation ladder, and — over a live socket — overload
+ * shedding, accept-backoff under fd exhaustion, oversize rejection,
+ * queue-wait deadlines, and concurrent dispatch under the simulation
+ * budget.
  *
  * Every test arms FaultInjector and resets it on teardown; the rest
  * of the suite (serve_test.cpp) runs with injection disarmed, which
@@ -16,6 +18,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -59,20 +62,28 @@ socketPath(const std::string& tag)
         .string();
 }
 
-/** A one-job KM run request; tiny scale keeps it fast. */
+/**
+ * A KM run request of @p jobs jobs; tiny scale keeps it fast. Job j
+ * runs under seed @p seed + j, so distinct seeds are distinct keys.
+ */
 std::string
-kmRunRequest(const std::string& label, double scale = 0.01)
+kmRunRequest(const std::string& label, double scale = 0.01,
+             int jobs = 1, int seed = 0)
 {
     std::ostringstream os;
     JsonWriter json(os);
     json.beginObject();
     json.field("type", "run");
     json.beginArray("jobs");
-    ServeJobSpec job;
-    job.label = label;
-    job.workload = "KM";
-    job.scale = scale;
-    writeServeJob(json, job);
+    for (int j = 0; j < jobs; ++j) {
+        ServeJobSpec job;
+        job.label = label + "-" + std::to_string(j);
+        job.workload = "KM";
+        job.scale = scale;
+        if (seed != 0)
+            job.overrides.emplace_back("seed", std::to_string(seed + j));
+        writeServeJob(json, job);
+    }
     json.endArray();
     json.endObject();
     json.finish();
@@ -89,6 +100,7 @@ class FaultInjection : public ::testing::Test
 
 using ResultCacheRobustness = FaultInjection;
 using ServeOverload = FaultInjection;
+using ServeConcurrency = FaultInjection;
 
 // --------------------------------------------------------------------
 // The injector itself.
@@ -157,8 +169,8 @@ TEST_F(ResultCacheRobustness, EvictsLeastRecentlyUsedAtEntryCap)
     EXPECT_FALSE(fs::exists(fs::path(dir) / "aaaa.json"));
     EXPECT_TRUE(fs::exists(fs::path(dir) / "bbbb.json"));
     EXPECT_TRUE(fs::exists(fs::path(dir) / "cccc.json"));
-    // The memory tier is unbounded: the evicted key still answers.
-    EXPECT_TRUE(cache.lookup("aaaa").has_value());
+    // An entry evicted from disk also leaves memory.
+    EXPECT_FALSE(cache.lookup("aaaa").has_value());
 }
 
 TEST_F(ResultCacheRobustness, LookupRefreshesRecency)
@@ -188,6 +200,43 @@ TEST_F(ResultCacheRobustness, EvictsByBytesAndCountsReclaim)
     EXPECT_EQ(cache.diskBytes(), 200u);
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.stats().evictedBytes, 100u);
+}
+
+TEST_F(ResultCacheRobustness, MemoryTierStaysWithinCapsInEveryMode)
+{
+    // Five 100-byte payloads against an entry cap of 2 and a byte cap
+    // of 250 (two payloads), in each rung of the ladder: the memory
+    // tier must hold the newest two and drop the oldest.
+    const std::string doc = "{\"pad\": \"" + std::string(89, 'x') + "\"}";
+    ASSERT_EQ(doc.size(), 100u);
+    for (const CacheLimits limits : {CacheLimits{0, 2}, CacheLimits{250, 0}}) {
+        for (const CacheDiskMode mode :
+             {CacheDiskMode::kReadWrite, CacheDiskMode::kReadOnly,
+              CacheDiskMode::kMemoryOnly}) {
+            SCOPED_TRACE(std::string(cacheDiskModeName(mode)) + " maxBytes=" +
+                         std::to_string(limits.maxBytes));
+            FaultInjector::instance().reset();
+            const std::string dir =
+                mode == CacheDiskMode::kMemoryOnly
+                    ? ""
+                    : scratchDir(std::string("mem_caps_") +
+                                 cacheDiskModeName(mode));
+            ResultCache cache(dir, limits);
+            if (mode == CacheDiskMode::kReadOnly)
+                FaultInjector::instance().configure("cache.write=enospc");
+            const std::vector<std::string> keys = {"k0", "k1", "k2", "k3",
+                                                   "k4"};
+            for (const std::string& key : keys) {
+                cache.store(key, doc);
+                EXPECT_LE(cache.memoryEntries(), 2u) << key;
+            }
+            EXPECT_EQ(cache.diskMode(), mode);
+            EXPECT_EQ(cache.memoryEntries(), 2u);
+            EXPECT_FALSE(cache.lookup("k0").has_value());
+            EXPECT_TRUE(cache.lookup("k3").has_value());
+            EXPECT_TRUE(cache.lookup("k4").has_value());
+        }
+    }
 }
 
 TEST_F(ResultCacheRobustness, RecencySurvivesRestartViaJournal)
@@ -330,7 +379,12 @@ TEST(ServeConfig, RoundTripsAndRejectsGarbage)
     expectSimError(SimErrorKind::kConfig, "serve.nope",
                    [&] { registry.set("serve.nope", "1"); });
     EXPECT_EQ(opts.queueDepth, 32); // untouched by failed sets
-    EXPECT_EQ(registry.keys().size(), 12u);
+    registry.set("serve.threads", "256");
+    EXPECT_EQ(opts.threads, 256);
+    expectSimError(SimErrorKind::kConfig, "serve.threads",
+                   [&] { registry.set("serve.threads", "257"); });
+    EXPECT_EQ(opts.threads, 256);
+    EXPECT_EQ(registry.keys().size(), 11u);
 }
 
 // --------------------------------------------------------------------
@@ -354,7 +408,6 @@ TEST_F(ServeOverload, FullQueueShedsTypedAndRetrySucceeds)
     ServeOptions opts;
     opts.socketPath = socketPath("overload");
     opts.queueDepth = 1;
-    opts.dispatchThreads = 1;
     opts.threads = 1;
     opts.retryAfterMs = 50;
     ServeDaemon daemon(opts);
@@ -452,7 +505,6 @@ TEST_F(ServeOverload, QueueWaitDeadlineSheds)
     ServeOptions opts;
     opts.socketPath = socketPath("deadline");
     opts.queueDepth = 8;
-    opts.dispatchThreads = 1;
     opts.threads = 1;
     opts.requestDeadlineMs = 50;
     ServeDaemon daemon(opts);
@@ -480,6 +532,7 @@ TEST_F(ServeOverload, StatsResponseCarriesRobustnessCounters)
     opts.socketPath = socketPath("stats");
     opts.cacheDir = dir;
     opts.cacheMaxBytes = 1 << 20;
+    opts.threads = 3;
     ServeDaemon daemon(opts);
     const std::string response =
         daemon.handleRequest("{\"type\": \"stats\"}");
@@ -490,7 +543,76 @@ TEST_F(ServeOverload, StatsResponseCarriesRobustnessCounters)
     EXPECT_EQ(cache.at("evictions").asUint64(), 0u);
     const JsonValue& server = doc.at("server");
     EXPECT_EQ(server.at("queueDepth").asUint64(), 16u);
+    EXPECT_EQ(server.at("threads").asUint64(), 3u);
     EXPECT_EQ(server.at("shedQueueFull").asUint64(), 0u);
+}
+
+// --------------------------------------------------------------------
+// Concurrent dispatch under one simulation budget.
+// --------------------------------------------------------------------
+
+TEST_F(ServeConcurrency, WarmHitIsAnsweredWhileAColdJobSimulates)
+{
+    ServeOptions opts;
+    opts.socketPath = socketPath("warm_during_cold");
+    opts.threads = 2;
+    ServeDaemon daemon(opts);
+    daemon.start();
+    const std::string warm = kmRunRequest("warm");
+    ASSERT_EQ(responseType(serveRoundTrip(opts.socketPath, warm)), "result");
+
+    // A cold job pinned for 2 s on the first connection; the warm hit
+    // on the second must come back while it still runs, not ~1.9 s
+    // later behind it.
+    FaultInjector::instance().configure("job.execute=sleep:2000");
+    std::thread cold([&] {
+        const std::string response = serveRoundTrip(
+            opts.socketPath, kmRunRequest("cold", 0.01, 1, 77));
+        EXPECT_EQ(responseType(response), "result");
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto start = std::chrono::steady_clock::now();
+    const JsonValue hit =
+        JsonValue::parse(serveRoundTrip(opts.socketPath, warm));
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(1000));
+    EXPECT_TRUE(hit.at("runs").at(0).at("cached").asBool());
+    cold.join();
+    EXPECT_EQ(daemon.simulationsRun(), 2u);
+    daemon.stop();
+}
+
+TEST_F(ServeConcurrency, BatchesShareOneSimulationBudget)
+{
+    // Two concurrent 2-job batches at serve.threads=2, every job
+    // sleeping N ms: four sleeps on at most two slots take >= 2N. Two
+    // pools of two workers each would finish in about N.
+    constexpr int kSleepMs = 300;
+    FaultInjector::instance().configure("job.execute=sleep:" +
+                                        std::to_string(kSleepMs));
+    ServeOptions opts;
+    opts.socketPath = socketPath("budget");
+    opts.threads = 2;
+    ServeDaemon daemon(opts);
+    daemon.start();
+
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 2; ++c) {
+        clients.emplace_back([&, c] {
+            const std::string response = serveRoundTrip(
+                opts.socketPath,
+                kmRunRequest("batch" + std::to_string(c), 0.01, 2,
+                             100 + 10 * c));
+            EXPECT_EQ(responseType(response), "result");
+        });
+    }
+    for (std::thread& t : clients)
+        t.join();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(elapsed, std::chrono::milliseconds(2 * kSleepMs));
+    EXPECT_EQ(daemon.simulationsRun(), 4u);
+    daemon.stop();
 }
 
 } // namespace

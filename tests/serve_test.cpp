@@ -618,7 +618,7 @@ TEST(ServeDaemon, FailuresBecomeRowsAndAreNeverCached)
               "ok");
 }
 
-TEST(ServeDaemon, TimeoutWithRetriesThroughServicePath)
+TEST(ServeDaemon, TimeoutBecomesErrorRowThroughServicePath)
 {
     ServeOptions opts;
     opts.threads = 2;
