@@ -215,9 +215,9 @@ class Cells
                          {cell.workload, &cell.workload->kernel}, {}};
             if (cell.harvestPerPc) {
                 // Worker thread; writes only this cell's slot.
-                job.inspect = [&per_pc = cell.perPc,
-                               num_sms = cell.config.numSms](const Gpu& gpu,
-                                                             RunResult&) {
+                job.drive = [&per_pc = cell.perPc,
+                             num_sms = cell.config.numSms](Gpu& gpu) {
+                    RunResult r = gpu.run();
                     for (int s = 0; s < num_sms; ++s) {
                         for (const auto& [pc, stat] :
                              gpu.sm(s).lsuStats().perPc) {
@@ -225,6 +225,7 @@ class Cells
                             per_pc[pc].hits += stat.hits;
                         }
                     }
+                    return r;
                 };
             }
             runner.submit(std::move(job));

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/sim_error.hpp"
 #include "sim/gpu.hpp"
 #include "workloads/workload.hpp"
 
@@ -36,7 +37,7 @@ report(const std::string& label, const RunResult& r, double base_ipc)
 
 int
 main(int argc, char** argv)
-{
+try {
     const std::string name = argc > 1 ? argv[1] : "PA";
     const double scale = argc > 2 ? std::atof(argv[2]) : 0.5;
     const Workload wl = makeWorkload(name, scale);
@@ -79,4 +80,8 @@ main(int argc, char** argv)
         report(label.str(), r, rb.ipc);
     }
     return 0;
+} catch (const SimError& e) {
+    // An unknown workload name or an unusable scale.
+    std::cerr << e.what() << '\n';
+    return 1;
 }

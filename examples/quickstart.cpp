@@ -15,6 +15,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/sim_error.hpp"
 #include "sim/gpu.hpp"
 #include "workloads/workload.hpp"
 
@@ -38,7 +39,7 @@ printRow(const std::string& label, const RunResult& r)
 
 int
 main(int argc, char** argv)
-{
+try {
     const std::string name = argc > 1 ? argv[1] : "PA";
     const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
 
@@ -65,4 +66,8 @@ main(int argc, char** argv)
     std::cout << "\nAPRES speedup over baseline: " << std::setprecision(2)
               << apres_run.ipc / baseline.ipc << "x\n";
     return 0;
+} catch (const SimError& e) {
+    // An unknown workload name or an unusable scale.
+    std::cerr << e.what() << '\n';
+    return 1;
 }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/sim_error.hpp"
 #include "sim/gpu.hpp"
 #include "workloads/workload.hpp"
 
@@ -24,7 +25,7 @@ using namespace apres;
 
 int
 main(int argc, char** argv)
-{
+try {
     const std::string name = argc > 1 ? argv[1] : "SRAD";
     const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
     const Workload wl = makeWorkload(name, scale);
@@ -74,4 +75,8 @@ main(int argc, char** argv)
                   << '\n';
     }
     return 0;
+} catch (const SimError& e) {
+    // An unknown workload name or an unusable scale.
+    std::cerr << e.what() << '\n';
+    return 1;
 }

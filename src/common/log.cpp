@@ -5,7 +5,6 @@
 
 #include "log.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -14,11 +13,8 @@ namespace apres {
 
 namespace {
 
-// Parallel sweeps log from worker threads: the threshold is an atomic
-// (lock-free fast path for the level checks inlined in the header) and
-// the sink is serialized so concurrent messages never interleave.
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
+// Parallel sweeps log from worker threads: the sink is serialized so
+// concurrent messages never interleave.
 std::mutex&
 sinkMutex()
 {
@@ -26,39 +22,13 @@ sinkMutex()
     return mu;
 }
 
-const char*
-levelTag(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::kDebug: return "debug";
-      case LogLevel::kInfo:  return "info";
-      case LogLevel::kWarn:  return "warn";
-      case LogLevel::kNone:  return "none";
-    }
-    return "?";
-}
-
 } // namespace
 
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
-
 void
-setLogLevel(LogLevel level)
+logWarnMessage(const std::string& msg)
 {
-    g_level.store(level, std::memory_order_relaxed);
-}
-
-void
-logMessage(LogLevel level, const std::string& msg)
-{
-    if (level < logLevel())
-        return;
     const std::lock_guard<std::mutex> lock(sinkMutex());
-    std::cerr << "[apres:" << levelTag(level) << "] " << msg << '\n';
+    std::cerr << "[apres:warn] " << msg << '\n';
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
- * Minimal severity-gated logging for the simulator.
+ * Warnings and fatal errors for the simulator.
  *
- * Logging is off (kWarn) by default so tests and benches stay quiet;
- * examples raise the level to narrate what the pipeline is doing.
+ * logWarn() reports a recoverable surprise (an ignored environment
+ * value, a trace file that could not be written) and continues.
  * fatal() mirrors gem5's convention: an unrecoverable *user* error
  * (bad configuration) that terminates with a message, while internal
  * invariant violations use assert().
@@ -17,60 +17,20 @@
 
 namespace apres {
 
-/** Log severity, in increasing order of importance. */
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kNone = 3 };
-
-/** Global log threshold; messages below it are dropped. */
-LogLevel logLevel();
-
-/** Set the global log threshold. */
-void setLogLevel(LogLevel level);
-
-/** Emit one message at @p level (appends a newline). */
-void logMessage(LogLevel level, const std::string& msg);
+/** Print "[apres:warn] <msg>" to stderr (appends a newline). */
+void logWarnMessage(const std::string& msg);
 
 /** Print @p msg to stderr and terminate with exit code 1. */
 [[noreturn]] void fatal(const std::string& msg);
 
-namespace detail {
-
-/** Fold a pack of streamable values into one string. */
-template <typename... Args>
-std::string
-concat(const Args&... args)
-{
-    std::ostringstream oss;
-    (oss << ... << args);
-    return oss.str();
-}
-
-} // namespace detail
-
-/** Convenience: debug-level message from streamable pieces. */
-template <typename... Args>
-void
-logDebug(const Args&... args)
-{
-    if (logLevel() <= LogLevel::kDebug)
-        logMessage(LogLevel::kDebug, detail::concat(args...));
-}
-
-/** Convenience: info-level message from streamable pieces. */
-template <typename... Args>
-void
-logInfo(const Args&... args)
-{
-    if (logLevel() <= LogLevel::kInfo)
-        logMessage(LogLevel::kInfo, detail::concat(args...));
-}
-
-/** Convenience: warning-level message from streamable pieces. */
+/** Warning from streamable pieces. */
 template <typename... Args>
 void
 logWarn(const Args&... args)
 {
-    if (logLevel() <= LogLevel::kWarn)
-        logMessage(LogLevel::kWarn, detail::concat(args...));
+    std::ostringstream oss;
+    (oss << ... << args);
+    logWarnMessage(oss.str());
 }
 
 } // namespace apres

@@ -103,14 +103,6 @@ class MetricsHistogram
         return lo_ + static_cast<std::uint64_t>(i) * width_;
     }
 
-    /** Half-open interval label of regular bucket @p i: "[lo,hi)". */
-    std::string
-    bucketLabel(std::size_t i) const
-    {
-        return "[" + std::to_string(bucketLo(i)) + "," +
-               std::to_string(bucketLo(i) + width_) + ")";
-    }
-
     /** Accumulate @p other (must have the identical shape). */
     void
     merge(const MetricsHistogram& other)

@@ -16,7 +16,7 @@
  *  - metrics.* histogram buckets (sim.metrics), binned by occupancy;
  *  - miss-rate-style ratios, binned by decile;
  *  - tracer event-type totals (folded into RunResult::policy as
- *    "trace.<event>" by the explorer's inspect hook), binned by
+ *    "trace.<event>" by the explorer's job driver), binned by
  *    magnitude — these light up paths like SAP WQ drains that no
  *    aggregate statistic exposes;
  *  - run status (completed, error kind).

@@ -105,12 +105,14 @@ Explorer::submitProbes(SweepRunner& runner, const KernelSignature& sig,
         // The tracer's per-type totals are the only coverage source
         // RunResult does not already carry; fold them in as policy
         // stats so bin extraction needs nothing but the result row.
-        job.inspect = [](const Gpu& gpu, RunResult& r) {
+        job.drive = [](Gpu& gpu) {
+            RunResult r = gpu.run();
             if (const Tracer* t = gpu.tracer()) {
                 for (const auto& [event, count] : t->eventTypeCounts())
                     r.policy.set("trace." + event,
                                  static_cast<double>(count));
             }
+            return r;
         };
         runner.submit(std::move(job));
     }

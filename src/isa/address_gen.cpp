@@ -39,14 +39,6 @@ mix64(std::uint64_t a, std::uint64_t b, std::uint64_t c)
                  mix64((b + 0x6A09E667F3BCC909ull) ^ mix64(c)));
 }
 
-std::string
-UniformGen::describe() const
-{
-    std::ostringstream oss;
-    oss << "uniform(addr=0x" << std::hex << addr_ << ")";
-    return oss.str();
-}
-
 SharedWindowGen::SharedWindowGen(Addr base, std::uint64_t footprint_bytes,
                                  std::int64_t iter_stride,
                                  std::int64_t warp_skew,
@@ -71,15 +63,6 @@ SharedWindowGen::base(const AddrCtx& ctx) const
         static_cast<Addr>(off);
 }
 
-std::string
-SharedWindowGen::describe() const
-{
-    std::ostringstream oss;
-    oss << "sharedWindow(footprint=" << footprint
-        << "B, iterStride=" << iterStride << ", warpSkew=" << warpSkew << ")";
-    return oss.str();
-}
-
 StridedGen::StridedGen(Addr base, std::int64_t warp_stride,
                        std::int64_t iter_stride, std::int64_t sm_offset)
     : start(base), warpStride(warp_stride), iterStride(iter_stride),
@@ -94,15 +77,6 @@ StridedGen::base(const AddrCtx& ctx) const
         + iterStride * static_cast<std::int64_t>(ctx.iter)
         + smOffset * static_cast<std::int64_t>(ctx.sm);
     return static_cast<Addr>(static_cast<std::int64_t>(start) + delta);
-}
-
-std::string
-StridedGen::describe() const
-{
-    std::ostringstream oss;
-    oss << "strided(warpStride=" << warpStride << ", iterStride=" << iterStride
-        << ")";
-    return oss.str();
 }
 
 IrregularGen::IrregularGen(Addr base, std::uint64_t footprint_bytes,
@@ -141,15 +115,6 @@ IrregularGen::base(const AddrCtx& ctx) const
     return start + line * kLine;
 }
 
-std::string
-IrregularGen::describe() const
-{
-    std::ostringstream oss;
-    oss << "irregular(lines=" << footprintLines << ", shareWarps="
-        << shareWarps << ", shareIters=" << shareIters << ")";
-    return oss.str();
-}
-
 ZipfGen::ZipfGen(Addr base, std::size_t num_lines, double alpha,
                  std::uint64_t seed_value)
     : start(base), alphaParam(alpha), seed(seed_value)
@@ -185,14 +150,6 @@ ZipfGen::base(const AddrCtx& ctx) const
     // land in the same cache set.
     const std::uint64_t line = mix64(seed ^ (rank + 1)) % numLines;
     return start + line * kLine;
-}
-
-std::string
-ZipfGen::describe() const
-{
-    std::ostringstream oss;
-    oss << "zipf(lines=" << numLines << ")";
-    return oss.str();
 }
 
 // ---------------------------------------------------------------------

@@ -55,9 +55,6 @@ class AddressGen
     /** Base address of the access performed by @p ctx. */
     virtual Addr base(const AddrCtx& ctx) const = 0;
 
-    /** Short human-readable description for reports. */
-    virtual std::string describe() const = 0;
-
     /**
      * Canonical machine-parseable form, e.g.
      * `strided base=0x1000 warp=1024 iter=49152 sm=0`.
@@ -93,7 +90,6 @@ class UniformGen : public AddressGen
     explicit UniformGen(Addr addr) : addr_(addr) {}
 
     Addr base(const AddrCtx&) const override { return addr_; }
-    std::string describe() const override;
     std::string serialize() const override;
 
   private:
@@ -124,7 +120,6 @@ class SharedWindowGen : public AddressGen
                     std::int64_t sm_offset = 0);
 
     Addr base(const AddrCtx& ctx) const override;
-    std::string describe() const override;
     std::string serialize() const override;
 
   private:
@@ -150,7 +145,6 @@ class StridedGen : public AddressGen
                std::int64_t sm_offset = 0);
 
     Addr base(const AddrCtx& ctx) const override;
-    std::string describe() const override;
     std::string serialize() const override;
 
     /** The inter-warp stride this pattern was built with. */
@@ -194,7 +188,6 @@ class IrregularGen : public AddressGen
                  int share_iters, std::uint64_t seed, int lag_iters = 0);
 
     Addr base(const AddrCtx& ctx) const override;
-    std::string describe() const override;
     std::string serialize() const override;
 
   private:
@@ -231,7 +224,6 @@ class ZipfGen : public AddressGen
             std::uint64_t seed);
 
     Addr base(const AddrCtx& ctx) const override;
-    std::string describe() const override;
     std::string serialize() const override;
 
   private:

@@ -433,19 +433,17 @@ parseKernelText(const std::string& text)
     return parseKernelText(in);
 }
 
-Kernel
-loadKernelFile(const std::string& path)
+std::string
+readKernelFile(const std::string& path)
 {
     std::ifstream in(path);
-    if (!in)
-        throwKernelError("cannot open kernel file: " + path);
-    try {
-        return parseKernelText(in);
-    } catch (const SimError& e) {
-        // Prefix the file name so multi-file drivers report usable
-        // locations; the kind is preserved.
-        throw SimError(e.kind(), path + ": " + e.detail());
-    }
+    std::ostringstream text;
+    if (in)
+        text << in.rdbuf();
+    // A missing file, a directory and an empty file all leave no text.
+    if (text.str().empty())
+        throwKernelError("cannot read kernel file: " + path);
+    return text.str();
 }
 
 void

@@ -45,8 +45,11 @@ Kernel parseKernelText(std::istream& input);
 /** Convenience: parse from a string. */
 Kernel parseKernelText(const std::string& text);
 
-/** Load a kernel definition from a file (KernelError if unreadable). */
-Kernel loadKernelFile(const std::string& path);
+/**
+ * The text of a kernel file, to parse or to send as a job's kernel
+ * text. KernelError when the file is missing, unreadable or empty.
+ */
+std::string readKernelFile(const std::string& path);
 
 /** Emit the canonical text form of @p kernel. */
 void writeKernelText(const Kernel& kernel, std::ostream& output);

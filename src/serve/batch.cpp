@@ -1,6 +1,7 @@
 /**
  * @file
- * runCachedBatch: resolve, look up, simulate the misses, store.
+ * Spec building, spec resolution, and runCachedBatch: resolve, look
+ * up, simulate the misses, store.
  */
 
 #include "batch.hpp"
@@ -16,16 +17,53 @@
 
 namespace apres {
 
-namespace {
-
-bool
-knownWorkload(const std::string& name)
+std::vector<ServeJobSpec>
+makeServeJobSpecs(
+    const std::vector<std::string>& workloads,
+    const std::vector<std::string>& kernel_files, double scale,
+    const std::vector<std::pair<std::string, std::string>>& overrides)
 {
-    const auto& names = allWorkloadNames();
-    return std::find(names.begin(), names.end(), name) != names.end();
+    std::vector<ServeJobSpec> specs;
+    const auto addWorkload = [&](const std::string& name) {
+        ServeJobSpec spec;
+        spec.label = name;
+        spec.workload = name;
+        spec.scale = scale;
+        spec.overrides = overrides;
+        specs.push_back(std::move(spec));
+    };
+    for (const std::string& name : workloads) {
+        if (name != "all") {
+            addWorkload(name);
+            continue;
+        }
+        for (const std::string& each : allWorkloadNames())
+            addWorkload(each);
+    }
+    for (const std::string& path : kernel_files) {
+        ServeJobSpec spec;
+        spec.label = path;
+        spec.kernelText = readKernelFile(path);
+        spec.overrides = overrides;
+        specs.push_back(std::move(spec));
+    }
+    return specs;
 }
 
-} // namespace
+SweepJob
+resolveServeJob(const ServeJobSpec& spec)
+{
+    SweepJob job;
+    job.label = spec.label;
+    ConfigRegistry registry(job.config);
+    for (const auto& [key, value] : spec.overrides)
+        registry.set(key, value);
+    job.kernel = std::make_shared<const Kernel>(
+        spec.kernelText.empty()
+            ? makeWorkload(spec.workload, spec.scale).kernel
+            : parseKernelText(spec.kernelText));
+    return job;
+}
 
 SimulationSlots::SimulationSlots(int slots) : free_(std::max(1, slots)) {}
 
@@ -62,25 +100,20 @@ runCachedBatch(const std::vector<ServeJobSpec>& jobs,
         const ServeJobSpec& spec = jobs[i];
         CachedRun& run = runs[i];
         try {
-            SweepJob job;
-            job.label = spec.label;
-            ConfigRegistry registry(job.config);
-            for (const auto& [key, value] : spec.overrides)
-                registry.set(key, value);
+            SweepJob job = resolveServeJob(spec);
+            // A served job writes no files and runs on the one thread
+            // its simulation slot pays for.
+            if (!job.config.traceFile.empty())
+                throwConfigError("sim.traceFile: a served job writes no "
+                                 "files");
+            if (job.config.shards != 1)
+                throwConfigError("sim.shards: a served job runs on one "
+                                 "thread (got " +
+                                 std::to_string(job.config.shards) + ")");
 
-            if (!spec.kernelText.empty()) {
-                job.kernel = std::make_shared<const Kernel>(
-                    parseKernelText(spec.kernelText));
-            } else {
-                if (!knownWorkload(spec.workload))
-                    throwConfigError("unknown workload \"" +
-                                     spec.workload + "\"");
-                job.kernel = std::make_shared<const Kernel>(
-                    makeWorkload(spec.workload, spec.scale).kernel);
-            }
-
-            run.key = computeCacheKey(fingerprint, kernelFingerprint(spec),
-                                      registry.semanticSnapshot());
+            run.key = computeCacheKey(
+                fingerprint, kernelFingerprint(spec),
+                ConfigRegistry(job.config).semanticSnapshot());
             if (std::optional<std::string> hit = cache.lookup(run.key)) {
                 run.cached = true;
                 run.payload = std::move(*hit);

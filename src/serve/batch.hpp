@@ -1,11 +1,13 @@
 /**
  * @file
- * The cached-batch path: the one place that turns job specs into
- * cache keys, answers hits from a ResultCache, simulates the misses
- * and memoizes the clean results. apres_serve runs every request
- * through it (ServeDaemon::handleRun) and apres_explore compare every
- * comparison (runComparison), so a cell either front end stored is a
- * hit for the other.
+ * The job path of the front ends that take ServeJobSpecs. One helper
+ * builds the specs, one resolver turns a spec into the SweepJob it
+ * runs, and the cached-batch path keys the jobs, answers hits from a
+ * ResultCache, simulates the misses and memoizes the clean results.
+ * apres_serve runs every request through the cached path
+ * (ServeDaemon::handleRun) and apres_explore compare every comparison
+ * (runComparison), so a cell either front end stored is a hit for the
+ * other; apres_sim resolves its specs and runs them uncached.
  */
 
 #ifndef APRES_SERVE_BATCH_HPP
@@ -15,6 +17,7 @@
 #include <cstddef>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/protocol.hpp"
@@ -77,12 +80,36 @@ class SimulationSlots
 };
 
 /**
+ * The specs of one batch, in order: one per name in @p workloads at
+ * @p scale ("all" expands to the 15 Table IV names), then one per
+ * kernel file, sent as its text and labelled with its path. Every
+ * spec carries @p overrides. Throws SimError(kKernel) naming a kernel
+ * file that cannot be read.
+ */
+std::vector<ServeJobSpec> makeServeJobSpecs(
+    const std::vector<std::string>& workloads,
+    const std::vector<std::string>& kernel_files, double scale,
+    const std::vector<std::pair<std::string, std::string>>& overrides = {});
+
+/**
+ * The job @p spec runs: the default GpuConfig with the spec's
+ * overrides applied in order, over its named workload at its scale or
+ * its parsed kernel text, labelled with the spec's label and without
+ * a driver. Throws SimError(kConfig) for a bad override, an unknown
+ * workload or a scale makeWorkload rejects, SimError(kKernel) for
+ * malformed kernel text.
+ */
+SweepJob resolveServeJob(const ServeJobSpec& spec);
+
+/**
  * Run @p jobs through @p cache, in order:
  *
- *  1. resolve each spec to a config, a kernel and a cache key
- *     (computeCacheKey under @p fingerprint). An invalid job (bad
- *     override, unknown workload, malformed kernel text) becomes an
- *     unkeyed error row and is never cached or executed;
+ *  1. resolve each spec (resolveServeJob) and key it (computeCacheKey
+ *     under @p fingerprint). An invalid job (bad override, unknown
+ *     workload, malformed kernel text) becomes an unkeyed error row
+ *     and is never cached or executed. So does a job that would write
+ *     a file (sim.traceFile) or start engine threads outside the
+ *     simulation budget (sim.shards other than 1);
  *  2. look each key up;
  *  3. simulate the misses on one SweepRunner built from @p runner,
  *     which keeps going past failed jobs. With @p slots, the misses

@@ -203,8 +203,7 @@ writeResponse(int fd, const std::string& text, std::uint64_t timeout_ms,
 
 ServeDaemon::ServeDaemon(ServeOptions options)
     : opts_(std::move(options)),
-      fingerprint_(opts_.fingerprint.empty() ? serveFingerprint()
-                                             : opts_.fingerprint),
+      fingerprint_(serveFingerprint()),
       threads_(std::clamp(opts_.threads > 0 ? opts_.threads
                                             : defaultJobCount(),
                           1, kMaxServeThreads)),

@@ -85,12 +85,6 @@ struct ServeOptions
      */
     int threads = 0;
 
-    /**
-     * Schema fingerprint embedded in every cache key; empty selects
-     * serveFingerprint(). Tests flip this to prove invalidation.
-     */
-    std::string fingerprint;
-
     /** Admission-queue depth; connections beyond it are shed. */
     int queueDepth = 16;
 
@@ -206,7 +200,7 @@ class ServeDaemon
     void joinAll();
 
     ServeOptions opts_;
-    std::string fingerprint_;
+    const std::string fingerprint_; ///< serveFingerprint()
     const int threads_; ///< resolved serve.threads
     ResultCache cache_;
     SimulationSlots slots_;

@@ -6,7 +6,6 @@
 
 #include "protocol.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "common/hash.hpp"
@@ -19,10 +18,6 @@ namespace apres {
 std::string
 serveFingerprint()
 {
-    if (const char* env = std::getenv("APRES_SERVE_FINGERPRINT")) {
-        if (*env != '\0')
-            return env;
-    }
     return kStatsSchemaVersion;
 }
 

@@ -81,11 +81,7 @@ namespace apres {
  */
 inline constexpr const char* kStatsSchemaVersion = "apres-results-v2";
 
-/**
- * The fingerprint cache keys embed: kStatsSchemaVersion, unless the
- * APRES_SERVE_FINGERPRINT environment variable overrides it (tests
- * and operators use the override to force whole-cache invalidation).
- */
+/** The fingerprint cache keys embed: kStatsSchemaVersion. */
 std::string serveFingerprint();
 
 /** One job of a batched run request. */

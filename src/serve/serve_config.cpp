@@ -12,7 +12,6 @@ ServeConfigRegistry::ServeConfigRegistry(ServeOptions& opts)
 {
     addString("serve.socket", opts.socketPath);
     addString("serve.cacheDir", opts.cacheDir);
-    addString("serve.fingerprint", opts.fingerprint);
     addInt("serve.threads", opts.threads, 0, kMaxServeThreads);
     addInt("serve.queueDepth", opts.queueDepth, 1, 1 << 20);
     addInt("serve.requestDeadlineMs", opts.requestDeadlineMs, 0);

@@ -104,9 +104,7 @@ runJob(const SweepJob& job, double timeout_seconds, SweepResult& slot)
                     throw JobTimeout{};
             });
         }
-        r = gpu.run();
-        if (job.inspect)
-            job.inspect(gpu, r);
+        r = job.drive ? job.drive(gpu) : gpu.run();
         r.status = "ok";
     } catch (const JobTimeout&) {
         r = RunResult{};

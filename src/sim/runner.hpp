@@ -23,12 +23,12 @@
  * that order of precedence (see defaultJobCount()).
  *
  * The runner is the only code that runs a simulation job. Every front
- * end goes through it: bench_paper and perfbench directly, apres_serve
- * and apres_explore compare through runCachedBatch (serve/batch.hpp),
- * and the explorer's probes as one batch per candidate. Each job runs
- * once, under fault isolation and an optional cooperative deadline;
- * the simulator is deterministic, so re-running a failed job would
- * only repeat its failure.
+ * end goes through it: bench_paper, apres_sim and perfbench directly,
+ * apres_serve and apres_explore compare through runCachedBatch
+ * (serve/batch.hpp), and the explorer's probes as one batch per
+ * candidate. Each job runs once, under fault isolation and an optional
+ * cooperative deadline; the simulator is deterministic, so re-running
+ * a failed job would only repeat its failure.
  */
 
 #ifndef APRES_SIM_RUNNER_HPP
@@ -95,13 +95,14 @@ struct SweepJob
     std::shared_ptr<const Kernel> kernel;  ///< must be non-null
 
     /**
-     * Optional post-run hook, called on the worker thread with the
-     * finished Gpu before it is destroyed. Lets drivers harvest
-     * statistics RunResult does not carry (per-PC LSU stats, DRAM row
-     * hits) without serializing the sweep. The hook must only touch
+     * Optional driver, called on the worker thread in place of
+     * gpu.run(); it returns the run's RunResult (Gpu::finish()). A
+     * driver may call gpu.run() and then read the Gpu for statistics
+     * RunResult does not carry (per-PC LSU stats, tracer totals), or
+     * step it itself (TimelineRecorder::record). It must only touch
      * this job's own state.
      */
-    std::function<void(const Gpu&, RunResult&)> inspect;
+    std::function<RunResult(Gpu&)> drive;
 };
 
 /** One finished job, in submission order. */
@@ -130,7 +131,7 @@ class SweepRunner
     /** Enqueue one job. @return its index (== result slot). */
     std::size_t submit(SweepJob job);
 
-    /** Convenience submit without an inspect hook. */
+    /** Convenience submit without a driver. */
     std::size_t submit(std::string label, const GpuConfig& config,
                        std::shared_ptr<const Kernel> kernel);
 

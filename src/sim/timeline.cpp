@@ -64,7 +64,7 @@ TimelineRecorder::record(Gpu& gpu)
 }
 
 void
-TimelineRecorder::toCsv(CsvWriter& csv) const
+TimelineRecorder::toCsv(CsvWriter& csv, const std::string& workload) const
 {
     for (const TimelineSample& s : samples_) {
         StatSet row;
@@ -74,7 +74,7 @@ TimelineRecorder::toCsv(CsvWriter& csv) const
         row.set("intervalPrefetches",
                 static_cast<double>(s.intervalPrefetches));
         row.set("cumulativeIpc", s.cumulativeIpc);
-        csv.addRow(std::to_string(s.cycleEnd), row);
+        csv.addRow(workload, row);
     }
 }
 

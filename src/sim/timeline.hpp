@@ -12,6 +12,7 @@
 #ifndef APRES_SIM_TIMELINE_HPP
 #define APRES_SIM_TIMELINE_HPP
 
+#include <string>
 #include <vector>
 
 #include "common/csv.hpp"
@@ -50,8 +51,11 @@ class TimelineRecorder
     /** The collected samples. */
     const std::vector<TimelineSample>& samples() const { return samples_; }
 
-    /** Export all samples through the CSV writer. */
-    void toCsv(CsvWriter& csv) const;
+    /**
+     * Export all samples through the CSV writer, one row per sample
+     * labelled @p workload, so rows of several runs stay apart.
+     */
+    void toCsv(CsvWriter& csv, const std::string& workload) const;
 
   private:
     Cycle interval_;

@@ -37,7 +37,7 @@
 #include "common/sim_error.hpp"
 #include "explore/explorer.hpp"
 #include "explore/policy_compare.hpp"
-#include "workloads/workload.hpp"
+#include "serve/batch.hpp"
 
 using namespace apres;
 
@@ -189,28 +189,9 @@ runCompare(const std::vector<std::string>& args)
         opts.policies.push_back({"lrr", "none"});
         opts.policies.push_back({"laws", "sap"});
     }
-    if (workloads.size() == 1 && workloads[0] == "all")
-        workloads = allWorkloadNames();
     if (workloads.empty() && kernel_files.empty())
         workloads = {"KM"};
-    for (const std::string& name : workloads) {
-        ServeJobSpec k;
-        k.label = name;
-        k.workload = name;
-        k.scale = scale;
-        opts.kernels.push_back(std::move(k));
-    }
-    for (const std::string& path : kernel_files) {
-        std::ifstream in(path);
-        if (!in)
-            fatal("cannot open " + path);
-        std::ostringstream text;
-        text << in.rdbuf();
-        ServeJobSpec k;
-        k.label = path;
-        k.kernelText = text.str();
-        opts.kernels.push_back(std::move(k));
-    }
+    opts.kernels = makeServeJobSpecs(workloads, kernel_files, scale);
 
     const CompareReport report = runComparison(opts);
     std::cerr << "apres_explore: " << report.pairs.size() << " pair(s), "

@@ -79,10 +79,6 @@ printHelp()
         "(default: 10000)\n"
         "  --max-request-bytes N  reject larger requests "
         "(default: 16 MiB)\n"
-        "  --fingerprint S        override the cache schema "
-        "fingerprint\n"
-        "                         (also: APRES_SERVE_FINGERPRINT env "
-        "var)\n"
         "  --set KEY=VALUE        set any serve.* key directly\n"
         "  --list-keys            print every serve.* key and exit\n"
         "  --fault-inject SPEC    arm deterministic fault injection\n"
@@ -137,8 +133,6 @@ run(int argc, char** argv)
             registry.set("serve.maxRequestBytes", next());
         } else if (arg == "--retry-after-ms") {
             registry.set("serve.retryAfterMs", next());
-        } else if (arg == "--fingerprint") {
-            opts.fingerprint = next();
         } else if (arg == "--set") {
             registry.applyAssignment(next());
         } else if (arg == "--fault-inject") {

@@ -3,7 +3,12 @@
  * apres_sim — the command-line front end of the simulator.
  *
  * Runs one or more (workload, configuration) combinations and reports
- * the full statistics as text, CSV or JSON.
+ * the full statistics as text, CSV or JSON. The batch is a list of
+ * ServeJobSpecs, built once: locally each spec is resolved like a
+ * daemon job (resolveServeJob) and the jobs run as one keep-going
+ * SweepRunner batch on APRES_BENCH_JOBS workers; with --connect the
+ * same specs go to a running apres_serve. Output follows submission
+ * order.
  *
  *   apres_sim --workload KM --apres
  *   apres_sim --workload all --sched ccws --pf str --csv results.csv
@@ -24,6 +29,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,14 +40,12 @@
 #include "common/log.hpp"
 #include "common/parse.hpp"
 #include "common/sim_error.hpp"
-#include "isa/kernel_text.hpp"
+#include "serve/batch.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "sim/config_registry.hpp"
-#include "sim/gpu.hpp"
-#include "sim/policy_registry.hpp"
+#include "sim/runner.hpp"
 #include "sim/timeline.hpp"
-#include "workloads/workload.hpp"
 
 using namespace apres;
 
@@ -89,69 +93,51 @@ printHelp()
         "  --retry-base-ms N first backoff nap; doubles per retry with\n"
         "                    jitter, floored by the daemon's\n"
         "                    retryAfterMs hint (default 100)\n\n"
-        "output:\n"
+        "output (jobs run on APRES_BENCH_JOBS workers, default all\n"
+        "cores, and print in order; --json prints failed jobs as error\n"
+        "rows, the other modes list them on stderr; any failure exits 1):\n"
         "  --trace FILE      write a Chrome trace_event JSON of the run\n"
-        "                    (open in chrome://tracing or Perfetto;\n"
-        "                    = sim.trace=true sim.traceFile=FILE)\n"
+        "                    (one job only; open in chrome://tracing or\n"
+        "                    Perfetto; = sim.trace=true sim.traceFile=FILE)\n"
         "  --metrics         collect histogram metrics into the stats\n"
         "                    (metrics.* keys; = sim.metrics=true)\n"
         "  --json            print one JSON document with all runs\n"
         "  --csv FILE        append rows as CSV instead of text\n"
-        "  --timeline FILE   write per-interval samples as CSV\n"
+        "  --timeline FILE   write per-interval samples as CSV, each row\n"
+        "                    led by its workload\n"
         "  --interval N      timeline sampling interval (default 2000)\n"
         "  --quiet           print only 'workload config ipc'\n"
         "  --help            this text\n";
 }
 
 /**
- * Service-mode client: ship the already-resolved batch to a running
- * apres_serve daemon and print its raw JSON response. The local
- * configuration is diffed against the defaults, so only explicit
- * settings travel as overrides; a kernel file travels as inline text.
- * Returns the process exit code (non-zero when any run is not "ok").
+ * The settings of @p registry that differ from the defaults, as
+ * overrides: resolving a spec that carries them rebuilds this config.
  */
-int
-runConnected(const std::string& socket_path, const ConfigRegistry& registry,
-             const std::string& workload, const std::string& kernel_file,
-             double scale, const ServeRetryPolicy& retry)
+std::vector<std::pair<std::string, std::string>>
+overridesOverDefaults(const ConfigRegistry& registry)
 {
     GpuConfig defaults;
-    const ConfigRegistry default_registry(defaults);
-    const auto base = default_registry.snapshot();
+    const auto base = ConfigRegistry(defaults).snapshot();
     std::vector<std::pair<std::string, std::string>> overrides;
     for (const auto& [key, value] : registry.snapshot()) {
         const auto it = base.find(key);
         if (it == base.end() || it->second != value)
             overrides.emplace_back(key, value);
     }
+    return overrides;
+}
 
-    std::vector<ServeJobSpec> specs;
-    const auto addWorkload = [&](const std::string& name) {
-        ServeJobSpec spec;
-        spec.label = name;
-        spec.workload = name;
-        spec.scale = scale;
-        spec.overrides = overrides;
-        specs.push_back(std::move(spec));
-    };
-    if (!kernel_file.empty()) {
-        std::ifstream in(kernel_file);
-        if (!in)
-            fatal("cannot open " + kernel_file);
-        std::ostringstream text;
-        text << in.rdbuf();
-        ServeJobSpec spec;
-        spec.label = kernel_file;
-        spec.kernelText = text.str();
-        spec.overrides = overrides;
-        specs.push_back(std::move(spec));
-    } else if (workload == "all") {
-        for (const std::string& name : allWorkloadNames())
-            addWorkload(name);
-    } else {
-        addWorkload(workload);
-    }
-
+/**
+ * Service-mode client: ship the batch to a running apres_serve daemon
+ * and print its raw JSON response. Returns the process exit code
+ * (non-zero when any run is not "ok").
+ */
+int
+runConnected(const std::string& socket_path,
+             const std::vector<ServeJobSpec>& specs,
+             const ServeRetryPolicy& retry)
+{
     std::ostringstream os;
     JsonWriter json(os);
     json.beginObject();
@@ -326,75 +312,81 @@ run(int argc, char** argv)
         return 0;
     }
 
+    // A kernel file replaces the workload.
+    const bool from_file = !kernel_file.empty();
+    const std::vector<ServeJobSpec> specs = makeServeJobSpecs(
+        from_file ? std::vector<std::string>{} : std::vector{workload},
+        from_file ? std::vector{kernel_file} : std::vector<std::string>{},
+        scale, overridesOverDefaults(registry));
     if (!connect_path.empty())
-        return runConnected(connect_path, registry, workload, kernel_file,
-                            scale, retry);
+        return runConnected(connect_path, specs, retry);
 
-    struct Job
-    {
-        std::string label;
-        Kernel kernel;
-    };
-    std::vector<Job> jobs;
-    if (!kernel_file.empty()) {
-        Job job;
-        job.kernel = loadKernelFile(kernel_file);
-        job.label = job.kernel.name();
-        jobs.push_back(std::move(job));
-    } else if (workload == "all") {
-        for (const std::string& name : allWorkloadNames())
-            jobs.push_back({name, makeWorkload(name, scale).kernel});
-    } else {
-        jobs.push_back({workload, makeWorkload(workload, scale).kernel});
+    if (!cfg.traceFile.empty() && specs.size() > 1) {
+        throwConfigError("sim.traceFile names one file, so --trace takes "
+                         "one job (got " + std::to_string(specs.size()) +
+                         ")");
+    }
+    // Every spec resolves before any job runs: a bad input fails the
+    // command, not one row.
+    std::vector<SweepJob> jobs;
+    for (const ServeJobSpec& spec : specs) {
+        try {
+            jobs.push_back(resolveServeJob(spec));
+        } catch (const SimError& e) {
+            if (spec.kernelText.empty())
+                throw;
+            // A kernel file's label is its path: name the file.
+            throw SimError(e.kind(), spec.label + ": " + e.detail());
+        }
     }
 
+    std::vector<TimelineRecorder> recorders;
+    if (!timeline_path.empty())
+        recorders.assign(jobs.size(), TimelineRecorder(timeline_interval));
+    RunnerOptions options;
+    options.keepGoing = true;
+    SweepRunner runner(options);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (!recorders.empty()) {
+            jobs[i].drive = [&recorder = recorders[i]](Gpu& gpu) {
+                return recorder.record(gpu);
+            };
+        }
+        runner.submit(std::move(jobs[i]));
+    }
+    const std::vector<SweepResult> results = runner.runAll();
+
+    // Rows in submission order; --json prints every row, the other
+    // modes the ones that succeeded (failureSummary covers the rest).
+    const std::string label = cfg.label();
     CsvWriter csv("workload");
-    CsvWriter timeline_csv("cycle");
+    CsvWriter timeline_csv("workload");
     std::unique_ptr<JsonWriter> json;
     if (json_output) {
         json = std::make_unique<JsonWriter>(std::cout);
         json->beginObject();
         json->beginArray("runs");
     }
-    bool any_failed = false;
-    for (const Job& job : jobs) {
-        const std::string& name = job.label;
-        RunResult r;
-        try {
-            if (!timeline_path.empty()) {
-                Gpu gpu(cfg, job.kernel);
-                TimelineRecorder recorder(timeline_interval);
-                r = recorder.record(gpu);
-                recorder.toCsv(timeline_csv);
-            } else {
-                r = simulate(cfg, job.kernel);
-            }
-        } catch (const SimError& e) {
-            // In --json mode a failed run becomes a machine-readable
-            // error row and the remaining workloads still run; other
-            // modes fail fast through the top-level handler.
-            if (!json_output)
-                throw;
-            r = RunResult{};
-            r.status = "error";
-            r.errorKind = e.kindName();
-            r.errorDetail = e.detail();
-            any_failed = true;
-        }
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const std::string& name = results[i].label;
+        const RunResult& r = results[i].result;
+        const bool ok = r.status == "ok";
+        if (ok && !recorders.empty())
+            recorders[i].toCsv(timeline_csv, name);
         if (json_output) {
             json->beginObject();
             json->field("workload", name);
-            json->field("label", cfg.label());
+            json->field("label", label);
             writeRunResultFields(*json, r);
             json->endObject();
+        } else if (!ok) {
+            continue;
         } else if (!csv_path.empty()) {
-            csv.addRow(name + ":" + cfg.label(), r.toStatSet());
+            csv.addRow(name + ":" + label, r.toStatSet());
         } else if (quiet) {
-            std::cout << name << ' ' << cfg.label() << ' ' << r.ipc
-                      << '\n';
+            std::cout << name << ' ' << label << ' ' << r.ipc << '\n';
         } else {
-            std::cout << "== " << name << " under " << cfg.label()
-                      << " ==\n";
+            std::cout << "== " << name << " under " << label << " ==\n";
             r.toStatSet().dump(std::cout);
             std::cout << '\n';
         }
@@ -426,7 +418,12 @@ run(int argc, char** argv)
                       << " timeline samples to " << timeline_path << '\n';
         }
     }
-    return any_failed ? 1 : 0;
+    const std::string failures = failureSummary(results);
+    if (failures.empty())
+        return 0;
+    if (!json_output)
+        std::cerr << "apres_sim: " << failures;
+    return 1;
 }
 
 } // namespace

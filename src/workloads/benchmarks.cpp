@@ -16,16 +16,19 @@
  *    interleaved rows of the same matrices), so repeat traffic merges
  *    in the L2/DRAM path and bandwidth is not the universal limiter.
  *
- * Loop trip counts are per job (block); each warp slot runs
- * SmConfig::jobsPerWarp jobs.
+ * Loop trip counts are per job (block): the table's base count times
+ * the scale, at least 8; each warp slot runs SmConfig::jobsPerWarp
+ * jobs.
  */
 
 #include "workload.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
-#include "common/log.hpp"
+#include "common/parse.hpp"
+#include "common/sim_error.hpp"
 
 namespace apres {
 
@@ -41,13 +44,6 @@ region(int index)
 /** High base for NW's negative-stride streams (stays positive). */
 constexpr Addr kHighBase = 0x20'0000'0000ull;
 
-std::uint64_t
-trips(double base, double scale)
-{
-    const auto t = static_cast<std::uint64_t>(base * scale);
-    return t < 8 ? 8 : t;
-}
-
 /**
  * BFS — cache-sensitive, irregular (Table I: loads 0x110/0xF0/0x198,
  * #L/#R 0.04-0.12, miss 0.78-0.90, stride 0). A chained
@@ -55,7 +51,7 @@ trips(double base, double scale)
  * usable stride.
  */
 Kernel
-buildBfs(double scale)
+buildBfs(std::uint64_t trips)
 {
     KernelBuilder b("BFS");
     const int a = b.load(std::make_unique<IrregularGen>(
@@ -70,7 +66,7 @@ buildBfs(double scale)
                              region(2), 1 * 1024 * 1024, 8, 2, 0xBF53, 2),
                          4, 0x198, y);
     b.alu({e}, 1);
-    return b.build(trips(64, scale));
+    return b.build(trips);
 }
 
 /**
@@ -78,7 +74,7 @@ buildBfs(double scale)
  * miss 0.04-0.17): chained suffix-tree descent over a hot node set.
  */
 Kernel
-buildMum(double scale)
+buildMum(std::uint64_t trips)
 {
     KernelBuilder b("MUM");
     const int a = b.load(std::make_unique<IrregularGen>(
@@ -93,7 +89,7 @@ buildMum(double scale)
                              region(5), 512 * 1024, 8, 8, 0x3715),
                          4, 0x8A0, y);
     b.alu({e}, 2);
-    return b.build(trips(64, scale));
+    return b.build(trips);
 }
 
 /**
@@ -102,7 +98,7 @@ buildMum(double scale)
  * perfectly inter-warp predictable — SAP's best case.
  */
 Kernel
-buildNw(double scale)
+buildNw(std::uint64_t trips)
 {
     KernelBuilder b("NW");
     const std::int64_t stride = -1966080;
@@ -118,7 +114,7 @@ buildNw(double scale)
     b.store(std::make_unique<StridedGen>(kHighBase + 0x8'0000'0000ull,
                                          stride, stride * 48),
             y, 4, 0x108);
-    return b.build(trips(48, scale));
+    return b.build(trips);
 }
 
 /**
@@ -128,7 +124,7 @@ buildNw(double scale)
  * skewed-hot, the last a colder wide window.
  */
 Kernel
-buildSpmv(double scale)
+buildSpmv(std::uint64_t trips)
 {
     KernelBuilder b("SPMV");
     const int a = b.load(std::make_unique<ZipfGen>(region(6), 8192, 0.9,
@@ -143,7 +139,7 @@ buildSpmv(double scale)
                              region(8), 8 * 1024 * 1024, 4096, 4096 * 7),
                          4, 0xE0, y);
     b.alu({e}, 1);
-    return b.build(trips(64, scale));
+    return b.build(trips);
 }
 
 /**
@@ -157,7 +153,7 @@ buildSpmv(double scale)
  * absorb the thrash either.
  */
 Kernel
-buildKm(double scale)
+buildKm(std::uint64_t trips)
 {
     KernelBuilder b("KM");
     const std::int64_t ws = 4352;    // inter-warp stride (Table I)
@@ -169,7 +165,7 @@ buildKm(double scale)
                              is, ws, is * window),
                          4, 0xE8);
     b.alu({a}, 2);
-    return b.build(trips(241, scale));
+    return b.build(trips);
 }
 
 /**
@@ -180,7 +176,7 @@ buildKm(double scale)
  * computations), leaving latency exposed for SAP.
  */
 Kernel
-buildLud(double scale)
+buildLud(std::uint64_t trips)
 {
     KernelBuilder b("LUD");
     const std::int64_t ws = 2048;
@@ -201,7 +197,7 @@ buildLud(double scale)
                              ws, is),
                          4, 0x22E0, y);
     b.alu({e}, 1);
-    return b.build(trips(56, scale));
+    return b.build(trips);
 }
 
 /**
@@ -212,7 +208,7 @@ buildLud(double scale)
  * credits LAWS for separating.
  */
 Kernel
-buildSrad(double scale)
+buildSrad(std::uint64_t trips)
 {
     KernelBuilder b("SRAD");
     const std::int64_t ws = 16384;
@@ -235,7 +231,7 @@ buildSrad(double scale)
                                                    0x5AD1),
                          4, 0x360, z);
     b.alu({g}, 1);
-    return b.build(trips(50, scale));
+    return b.build(trips);
 }
 
 /**
@@ -243,7 +239,7 @@ buildSrad(double scale)
  * 0x2230 #L/#R 0.002 miss 0.16; 0x2088 stride 256 miss 0.02).
  */
 Kernel
-buildPa(double scale)
+buildPa(std::uint64_t trips)
 {
     KernelBuilder b("PA");
     const int a = b.load(std::make_unique<StridedGen>(
@@ -258,7 +254,7 @@ buildPa(double scale)
                              region(15), 128 * 1024, 256, 256),
                          4, 0x2088, y);
     b.alu({e}, 2);
-    return b.build(trips(62, scale));
+    return b.build(trips);
 }
 
 /**
@@ -266,7 +262,7 @@ buildPa(double scale)
  * a pure input stream plus scattered bin-update stores.
  */
 Kernel
-buildHisto(double scale)
+buildHisto(std::uint64_t trips)
 {
     KernelBuilder b("HISTO");
     const int a = b.load(std::make_unique<StridedGen>(
@@ -276,7 +272,7 @@ buildHisto(double scale)
     b.store(std::make_unique<IrregularGen>(region(17), 64 * 1024, 1, 1,
                                            0x4151),
             x);
-    return b.build(trips(75, scale));
+    return b.build(trips);
 }
 
 /**
@@ -285,7 +281,7 @@ buildHisto(double scale)
  * streams plus a resident layer table.
  */
 Kernel
-buildBp(double scale)
+buildBp(std::uint64_t trips)
 {
     KernelBuilder b("BP");
     const int a = b.load(std::make_unique<StridedGen>(
@@ -301,7 +297,7 @@ buildBp(double scale)
                          4, 0x478, y);
     const int z = b.alu({e}, 1);
     b.store(std::make_unique<StridedGen>(region(21), 128, 128 * 48), z);
-    return b.build(trips(62, scale));
+    return b.build(trips);
 }
 
 /**
@@ -309,7 +305,7 @@ buildBp(double scale)
  * plus a light input stream, dominated by ALU work.
  */
 Kernel
-buildPf(double scale)
+buildPf(std::uint64_t trips)
 {
     KernelBuilder b("PF");
     const int a = b.load(std::make_unique<SharedWindowGen>(
@@ -320,7 +316,7 @@ buildPf(double scale)
                          4, 0x140);
     const int x = b.alu({a, c}, 10);
     b.alu({x}, 8);
-    return b.build(trips(38, scale));
+    return b.build(trips);
 }
 
 /**
@@ -330,7 +326,7 @@ buildPf(double scale)
  * gain to prefetching.
  */
 Kernel
-buildCs(double scale)
+buildCs(std::uint64_t trips)
 {
     KernelBuilder b("CS");
     const std::int64_t ws = 4096;
@@ -351,7 +347,7 @@ buildCs(double scale)
                              ws, is),
                          4, 0x340, y);
     b.alu({e}, 5);
-    return b.build(trips(64, scale));
+    return b.build(trips);
 }
 
 /**
@@ -360,7 +356,7 @@ buildCs(double scale)
  * only partially useful (the paper's Fig. 15 energy worst case).
  */
 Kernel
-buildSt(double scale)
+buildSt(std::uint64_t trips)
 {
     KernelBuilder b("ST");
     const std::int64_t ws = 32768;
@@ -379,7 +375,7 @@ buildSt(double scale)
                              region(26), 1024 * 1024, 2, 2, 0x57E1),
                          4, 0x280, y);
     b.alu({e}, 6);
-    return b.build(trips(32, scale));
+    return b.build(trips);
 }
 
 /**
@@ -387,7 +383,7 @@ buildSt(double scale)
  * power-input stream, ALU-dominated.
  */
 Kernel
-buildHs(double scale)
+buildHs(std::uint64_t trips)
 {
     KernelBuilder b("HS");
     const int a = b.load(std::make_unique<SharedWindowGen>(
@@ -398,7 +394,7 @@ buildHs(double scale)
                          4, 0x188);
     const int x = b.alu({a, c}, 12);
     b.alu({x}, 10);
-    return b.build(trips(32, scale));
+    return b.build(trips);
 }
 
 /**
@@ -407,7 +403,7 @@ buildHs(double scale)
  * case of Section V-B.
  */
 Kernel
-buildSp(double scale)
+buildSp(std::uint64_t trips)
 {
     KernelBuilder b("SP");
     const int a = b.load(std::make_unique<StridedGen>(
@@ -419,7 +415,7 @@ buildSp(double scale)
                          4, 0x410, x);
     const int y = b.alu({c}, 3);
     b.alu({y}, 3);
-    return b.build(trips(64, scale));
+    return b.build(trips);
 }
 
 struct Meta
@@ -428,35 +424,38 @@ struct Meta
     const char* full;
     const char* suite;
     AppCategory category;
-    Kernel (*build)(double);
+    Kernel (*build)(std::uint64_t trips);
+    double baseTrips; ///< loop trips per job at scale 1
 };
 
 const Meta kMeta[] = {
     {"BFS", "Breadth-First Search", "Rodinia",
-     AppCategory::kCacheSensitive, buildBfs},
-    {"MUM", "MUMmerGPU", "Rodinia", AppCategory::kCacheSensitive, buildMum},
+     AppCategory::kCacheSensitive, buildBfs, 64},
+    {"MUM", "MUMmerGPU", "Rodinia", AppCategory::kCacheSensitive, buildMum,
+     64},
     {"NW", "Needleman-Wunsch", "Rodinia", AppCategory::kCacheSensitive,
-     buildNw},
+     buildNw, 48},
     {"SPMV", "Sparse-Matrix dense-Vector multiplication", "Parboil",
-     AppCategory::kCacheSensitive, buildSpmv},
-    {"KM", "KMeans", "Rodinia", AppCategory::kCacheSensitive, buildKm},
+     AppCategory::kCacheSensitive, buildSpmv, 64},
+    {"KM", "KMeans", "Rodinia", AppCategory::kCacheSensitive, buildKm, 241},
     {"LUD", "LU Decomposition", "Rodinia", AppCategory::kCacheInsensitive,
-     buildLud},
+     buildLud, 56},
     {"SRAD", "Speckle Reducing Anisotropic Diffusion", "Rodinia",
-     AppCategory::kCacheInsensitive, buildSrad},
+     AppCategory::kCacheInsensitive, buildSrad, 50},
     {"PA", "Particle Filter", "Rodinia", AppCategory::kCacheInsensitive,
-     buildPa},
+     buildPa, 62},
     {"HISTO", "Histogram", "Parboil", AppCategory::kCacheInsensitive,
-     buildHisto},
+     buildHisto, 75},
     {"BP", "Back Propagation", "Rodinia", AppCategory::kCacheInsensitive,
-     buildBp},
-    {"PF", "PathFinder", "Rodinia", AppCategory::kComputeIntensive, buildPf},
+     buildBp, 62},
+    {"PF", "PathFinder", "Rodinia", AppCategory::kComputeIntensive, buildPf,
+     38},
     {"CS", "ConvolutionSeparable", "CUDA SDK",
-     AppCategory::kComputeIntensive, buildCs},
-    {"ST", "Stencil", "Parboil", AppCategory::kComputeIntensive, buildSt},
-    {"HS", "HotSpot", "Rodinia", AppCategory::kComputeIntensive, buildHs},
+     AppCategory::kComputeIntensive, buildCs, 64},
+    {"ST", "Stencil", "Parboil", AppCategory::kComputeIntensive, buildSt, 32},
+    {"HS", "HotSpot", "Rodinia", AppCategory::kComputeIntensive, buildHs, 32},
     {"SP", "ScalarProd", "CUDA SDK", AppCategory::kComputeIntensive,
-     buildSp},
+     buildSp, 64},
 };
 
 } // namespace
@@ -476,17 +475,26 @@ Workload
 makeWorkload(const std::string& name, double scale)
 {
     for (const Meta& m : kMeta) {
-        if (name == m.abbr) {
-            Workload w;
-            w.abbr = m.abbr;
-            w.fullName = m.full;
-            w.suite = m.suite;
-            w.category = m.category;
-            w.kernel = m.build(scale);
-            return w;
+        if (name != m.abbr)
+            continue;
+        // 2^64 is the first trip count a uint64 cannot hold; converting
+        // a double outside [0, 2^64) is undefined behaviour.
+        const double trips = m.baseTrips * scale;
+        if (!(trips >= 0.0 && trips < 0x1p64)) {
+            throwConfigError("workload \"" + name + "\": scale " +
+                             formatDouble(scale) +
+                             " gives a loop trip count outside [0, 2^64)");
         }
+        Workload w;
+        w.abbr = m.abbr;
+        w.fullName = m.full;
+        w.suite = m.suite;
+        w.category = m.category;
+        w.kernel = m.build(
+            std::max<std::uint64_t>(8, static_cast<std::uint64_t>(trips)));
+        return w;
     }
-    fatal("unknown workload: " + name);
+    throwConfigError("unknown workload \"" + name + "\"");
 }
 
 const std::vector<std::string>&

@@ -48,6 +48,8 @@ struct Workload
  * @param name  one of the 15 abbreviations (case-sensitive)
  * @param scale multiplies the loop trip count; tests use ~0.1 for
  *              fast runs, benches 1.0 for paper-shaped runs
+ * @throws SimError(kConfig) for an unknown name (`unknown workload
+ *         "X"`) or a scale whose trip count a uint64 cannot hold
  */
 Workload makeWorkload(const std::string& name, double scale = 1.0);
 

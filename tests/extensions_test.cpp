@@ -298,9 +298,17 @@ TEST(Timeline, CsvExportHasOneRowPerSample)
     Gpu gpu(cfg, wl.kernel);
     TimelineRecorder recorder(1000);
     recorder.record(gpu);
-    CsvWriter csv("cycle");
-    recorder.toCsv(csv);
+    CsvWriter csv("workload");
+    recorder.toCsv(csv, "SP");
     EXPECT_EQ(csv.size(), recorder.samples().size());
+    std::ostringstream out;
+    csv.write(out);
+    std::istringstream lines(out.str());
+    std::string line;
+    std::getline(lines, line);
+    EXPECT_EQ(line.rfind("workload,", 0), 0u) << line;
+    while (std::getline(lines, line))
+        EXPECT_EQ(line.rfind("SP,", 0), 0u) << line;
 }
 
 TEST(AdaptiveBypass, EndToEndDeterministic)

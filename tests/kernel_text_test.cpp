@@ -327,10 +327,10 @@ INSTANTIATE_TEST_SUITE_P(AllApps, WorkloadRoundTrip,
                          testing::ValuesIn(allWorkloadNames()),
                          [](const auto& info) { return info.param; });
 
-TEST(KernelText, LoadKernelFileMissingIsFatal)
+TEST(KernelText, ReadKernelFileMissingIsKernelError)
 {
-    expectSimError(SimErrorKind::kKernel, "cannot open kernel file",
-                   [] { loadKernelFile("/nonexistent/path.kt"); });
+    expectSimError(SimErrorKind::kKernel, "cannot read kernel file",
+                   [] { readKernelFile("/nonexistent/path.kt"); });
 }
 
 } // namespace

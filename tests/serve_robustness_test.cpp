@@ -384,7 +384,7 @@ TEST(ServeConfig, RoundTripsAndRejectsGarbage)
     expectSimError(SimErrorKind::kConfig, "serve.threads",
                    [&] { registry.set("serve.threads", "257"); });
     EXPECT_EQ(opts.threads, 256);
-    EXPECT_EQ(registry.keys().size(), 11u);
+    EXPECT_EQ(registry.keys().size(), 10u);
 }
 
 // --------------------------------------------------------------------

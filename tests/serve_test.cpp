@@ -424,11 +424,11 @@ TEST(ServeDaemon, WarmBatchIsBitwiseIdenticalWithZeroSimulation)
 TEST(ServeDaemon, DiskCacheSurvivesRestartAndFingerprintFlipInvalidates)
 {
     const std::string dir = scratchDir("restart");
-    const std::string request = runRequest({kmJob(32768), kmJob(65536)});
+    const std::vector<ServeJobSpec> jobs = {kmJob(32768), kmJob(65536)};
+    const std::string request = runRequest(jobs);
 
     ServeOptions opts;
     opts.cacheDir = dir;
-    opts.fingerprint = "fp-one";
     {
         ServeDaemon daemon(opts);
         daemon.handleRequest(request);
@@ -446,16 +446,14 @@ TEST(ServeDaemon, DiskCacheSurvivesRestartAndFingerprintFlipInvalidates)
     }
     {
         // Flipping the schema fingerprint orphans every entry: the
-        // same requests miss and re-simulate.
-        ServeOptions flipped = opts;
-        flipped.fingerprint = "fp-two";
-        ServeDaemon daemon(flipped);
-        const std::string response = daemon.handleRequest(request);
-        EXPECT_EQ(daemon.simulationsRun(), 2u);
-        EXPECT_EQ(daemon.cache().stats().hits(), 0u);
-        const JsonValue doc = JsonValue::parse(response);
-        for (std::size_t i = 0; i < 2; ++i)
-            EXPECT_FALSE(doc.at("runs").at(i).at("cached").asBool());
+        // same jobs miss and re-simulate.
+        ResultCache cache(dir);
+        const std::vector<CachedRun> runs =
+            runCachedBatch(jobs, "fp-two", cache, RunnerOptions{});
+        ASSERT_EQ(runs.size(), 2u);
+        for (const CachedRun& run : runs)
+            EXPECT_TRUE(run.simulated());
+        EXPECT_EQ(cache.stats().hits(), 0u);
     }
 }
 
@@ -477,15 +475,86 @@ TEST(ServeDaemon, ObservationOverridesHitTheSemanticEntry)
     const JsonValue doc = JsonValue::parse(response);
     EXPECT_TRUE(doc.at("runs").at(0).at("cached").asBool());
 
-    // Engine selection is observational too: a serial run warms the
-    // cache for parallel requests of the same semantic config.
-    ServeJobSpec sharded = kmJob(32768);
-    sharded.overrides.emplace_back("sim.shards", "4");
-    const std::string sharded_response =
-        daemon.handleRequest(runRequest({sharded}));
+    // So is in-memory tracing, at the one shard a served job may use.
+    ServeJobSpec traced = kmJob(32768);
+    traced.overrides.emplace_back("sim.trace", "true");
+    traced.overrides.emplace_back("sim.shards", "1");
+    const JsonValue traced_doc =
+        JsonValue::parse(daemon.handleRequest(runRequest({traced})));
     EXPECT_EQ(daemon.simulationsRun(), 1u);
-    const JsonValue sharded_doc = JsonValue::parse(sharded_response);
-    EXPECT_TRUE(sharded_doc.at("runs").at(0).at("cached").asBool());
+    EXPECT_TRUE(traced_doc.at("runs").at(0).at("cached").asBool());
+}
+
+TEST(ServeDaemon, JobsThatWriteFilesOrStartThreadsAreRefused)
+{
+    // A request cannot make the daemon write a file it names or start
+    // engine threads outside the simulation budget: such a job is an
+    // unkeyed ConfigError row naming the key, never run or cached.
+    const std::string dir = scratchDir("no_side_effects");
+    const std::string trace_path = dir + "/trace.json";
+    ServeOptions opts;
+    ServeDaemon daemon(opts);
+    ServeJobSpec traced = kmJob(32768);
+    traced.label = "traced";
+    traced.overrides.emplace_back("sim.trace", "true");
+    traced.overrides.emplace_back("sim.traceFile", trace_path);
+    std::vector<ServeJobSpec> jobs = {traced};
+    for (const char* shards : {"0", "2", "4096"}) {
+        ServeJobSpec sharded = kmJob(32768);
+        sharded.label = std::string("shards-") + shards;
+        sharded.overrides.emplace_back("sim.shards", shards);
+        jobs.push_back(sharded);
+    }
+
+    const JsonValue doc =
+        JsonValue::parse(daemon.handleRequest(runRequest(jobs)));
+    const JsonValue& runs = doc.at("runs");
+    ASSERT_EQ(runs.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const JsonValue& result = runs.at(i).at("result");
+        EXPECT_FALSE(runs.at(i).has("key")) << i;
+        EXPECT_EQ(result.at("status").asString(), "error") << i;
+        EXPECT_EQ(result.at("error").at("kind").asString(), "ConfigError");
+        EXPECT_NE(result.at("error").at("detail").asString().find(
+                      i == 0 ? "sim.traceFile" : "sim.shards"),
+                  std::string::npos) << i;
+    }
+    EXPECT_EQ(daemon.simulationsRun(), 0u);
+    EXPECT_EQ(doc.at("simulations").asUint64(), 0u);
+    EXPECT_EQ(daemon.cache().memoryEntries(), 0u);
+    EXPECT_FALSE(fs::exists(trace_path));
+
+    // compare runs its cells through the same path.
+    CompareOptions compare;
+    compare.policies = {{"lrr", "none"}, {"laws", "sap"}};
+    compare.kernels = {kmJob(32768)};
+    compare.overrides = {{"sim.shards", "2"}};
+    expectSimError(SimErrorKind::kConfig, "sim.shards",
+                   [&] { runComparison(compare); });
+}
+
+TEST(ServeDaemon, ScaleBeyondSixtyFourBitTripsIsAnErrorRow)
+{
+    // The trip count of KM at this scale does not fit in 64 bits: the
+    // job is rejected, not cached under workload:KM@1e+300.
+    ServeOptions opts;
+    ServeDaemon daemon(opts);
+    ServeJobSpec huge;
+    huge.label = "huge";
+    huge.workload = "KM";
+    huge.scale = 1e300;
+    const JsonValue doc =
+        JsonValue::parse(daemon.handleRequest(runRequest({huge})));
+    const JsonValue& run = doc.at("runs").at(0);
+    EXPECT_FALSE(run.has("key"));
+    EXPECT_EQ(run.at("result").at("status").asString(), "error");
+    EXPECT_EQ(run.at("result").at("error").at("kind").asString(),
+              "ConfigError");
+    EXPECT_NE(run.at("result").at("error").at("detail").asString().find(
+                  "scale 1e+300"),
+              std::string::npos);
+    EXPECT_EQ(daemon.simulationsRun(), 0u);
+    EXPECT_EQ(daemon.cache().memoryEntries(), 0u);
 }
 
 TEST(ServeDaemon, SharesOneCacheWithCompare)

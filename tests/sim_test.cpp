@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -417,15 +418,62 @@ TEST(Runner, InspectHookRunsPerJob)
         job.config = smallGpu();
         job.kernel = std::shared_ptr<const Kernel>(workload, kernel);
         auto* slot = &l1_accesses[static_cast<std::size_t>(i)];
-        job.inspect = [slot](const Gpu& gpu, RunResult& r) {
+        job.drive = [slot](Gpu& gpu) {
+            const RunResult r = gpu.run();
             *slot = r.l1.demandAccesses;
             EXPECT_TRUE(gpu.done());
+            return r;
         };
         runner.submit(std::move(job));
     }
     const std::vector<SweepResult> results = runner.runAll();
     for (std::size_t i = 0; i < results.size(); ++i)
         EXPECT_EQ(l1_accesses[i], results[i].result.l1.demandAccesses);
+}
+
+TEST(Runner, TimelineDriverMatchesBareGpu)
+{
+    // A timeline job on a worker thread records exactly the samples
+    // and result TimelineRecorder gives on a bare Gpu.
+    const std::vector<std::string> names = {"SP", "KM", "NW"};
+    std::vector<TimelineRecorder> recorders(names.size(),
+                                            TimelineRecorder(701));
+    RunnerOptions opts;
+    opts.threads = 2;
+    SweepRunner runner(opts);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        SweepJob job;
+        job.label = names[i];
+        job.config = smallGpu("laws", "sap");
+        job.kernel = std::make_shared<const Kernel>(
+            makeWorkload(names[i], 0.05).kernel);
+        job.drive = [&recorder = recorders[i]](Gpu& gpu) {
+            return recorder.record(gpu);
+        };
+        runner.submit(std::move(job));
+    }
+    const std::vector<SweepResult> results = runner.runAll();
+
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const Workload wl = makeWorkload(names[i], 0.05);
+        Gpu gpu(smallGpu("laws", "sap"), wl.kernel);
+        TimelineRecorder bare(701);
+        const RunResult r = bare.record(gpu);
+        ASSERT_EQ(results[i].result.status, "ok") << names[i];
+        EXPECT_EQ(results[i].result.toStatSet().entries(),
+                  r.toStatSet().entries()) << names[i];
+        const auto& got = recorders[i].samples();
+        const auto& want = bare.samples();
+        ASSERT_FALSE(want.empty()) << names[i];
+        ASSERT_EQ(got.size(), want.size()) << names[i];
+        for (std::size_t k = 0; k < want.size(); ++k) {
+            EXPECT_EQ(got[k].cycleEnd, want[k].cycleEnd);
+            EXPECT_EQ(got[k].intervalIpc, want[k].intervalIpc);
+            EXPECT_EQ(got[k].intervalMissRate, want[k].intervalMissRate);
+            EXPECT_EQ(got[k].intervalPrefetches, want[k].intervalPrefetches);
+            EXPECT_EQ(got[k].cumulativeIpc, want[k].cumulativeIpc);
+        }
+    }
 }
 
 TEST(Timeline, FinalPartialIntervalIsKept)

@@ -423,8 +423,10 @@ TEST(Trace, IdenticalAcrossParallelSweepJobs)
             job.label = "job" + std::to_string(i);
             job.config = traceGpu("laws", "sap");
             job.kernel = kernel;
-            job.inspect = [&summaries, i](const Gpu& gpu, RunResult&) {
+            job.drive = [&summaries, i](Gpu& gpu) {
+                const RunResult r = gpu.run();
                 summaries[i] = gpu.tracer()->eventSummary();
+                return r;
             };
             runner.submit(std::move(job));
         }

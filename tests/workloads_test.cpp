@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim_error_matchers.hpp"
 #include "workloads/characterize.hpp"
 #include "workloads/workload.hpp"
 
@@ -53,9 +54,24 @@ TEST(Workloads, ScaleControlsTripCount)
     EXPECT_LT(small.kernel.tripCount(), big.kernel.tripCount());
 }
 
-TEST(Workloads, UnknownNameIsFatal)
+TEST(Workloads, UnknownNameIsConfigError)
 {
-    EXPECT_EXIT(makeWorkload("NOPE"), testing::ExitedWithCode(1), "");
+    expectSimError(SimErrorKind::kConfig, "unknown workload \"NOPE\"",
+                   [] { makeWorkload("NOPE"); });
+}
+
+TEST(Workloads, ScaleBeyondSixtyFourBitTripsIsConfigError)
+{
+    // KM's 241 base trips x 1e17 is past 2^64; BFS's 64 x 1e17 fits.
+    for (const double scale : {1e300, 1e17}) {
+        expectSimError(SimErrorKind::kConfig, "workload \"KM\": scale",
+                       [scale] { makeWorkload("KM", scale); });
+    }
+    expectSimError(SimErrorKind::kConfig, "scale -1",
+                   [] { makeWorkload("SP", -1.0); });
+    EXPECT_EQ(makeWorkload("BFS", 1e17).kernel.tripCount(),
+              6'400'000'000'000'000'000ull);
+    EXPECT_EQ(makeWorkload("KM", 0.0001).kernel.tripCount(), 8u);
 }
 
 TEST(Characterize, KmSignature)
