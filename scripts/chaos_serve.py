@@ -2,7 +2,7 @@
 """Chaos harness for apres_serve: hostile-environment scenarios
 against a LIVE daemon, driven through the deterministic fault
 injection seam (src/common/fault_inject.hpp, armed with
---fault-inject / APRES_FAULT_INJECT).
+--fault-inject).
 
 Scenarios (each starts its own daemon in a scratch directory):
 
@@ -341,7 +341,7 @@ def scenario_overload(serve_bin, scratch):
     """Burst a 1-dispatcher daemon: typed sheds, then recovery."""
     daemon = Daemon(
         serve_bin, scratch, "overload",
-        extra_args=["--queue-depth", "1", "--retry-after-ms", "50"],
+        extra_args=["--queue-depth", "1"],
         fault_spec="job.execute=sleep:250")
 
     results = []

@@ -18,9 +18,8 @@
  *   - sleep faults: the call blocks for a fixed duration and returns
  *     0, modelling a slow operation (the real operation proceeds).
  *
- * Plans are written as a spec string, driven by the APRES_FAULT_INJECT
- * environment variable (read by apres_serve at startup), the
- * --fault-inject flag, or programmatically by tests:
+ * Plans are written as a spec string, set by apres_serve's
+ * --fault-inject flag or programmatically by tests:
  *
  *   site=action[@occurrences][;site=action[@occurrences]...]
  *
@@ -42,7 +41,7 @@
  *
  * Canonical sites (grep for faultInjectAt to enumerate):
  *   cache.read, cache.write, cache.fsync, cache.rename,
- *   socket.accept, socket.read, socket.write, job.execute
+ *   socket.accept, job.execute
  */
 
 #ifndef APRES_COMMON_FAULT_INJECT_HPP

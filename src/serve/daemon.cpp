@@ -1,13 +1,16 @@
 /**
  * @file
  * Daemon implementation: overload-controlled socket plumbing (bounded
- * admission queue, dispatcher pool, deadlines, typed sheds) + batch
- * handling over the result cache and the simulation-slot budget.
+ * admission queue, dispatcher pool, socket deadlines, typed sheds) +
+ * batch handling over the result cache and the simulation-slot budget.
+ * One read loop and one write loop move every request and response,
+ * the client's included.
  */
 
 #include "daemon.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <random>
 #include <sstream>
@@ -31,11 +34,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Wrap errno into a config-kind SimError with a prefix. */
+/** Base of the backlog-scaled retryAfterMs hint in a shed. */
+constexpr std::uint64_t kRetryAfterMs = 250;
+
+/** Upper bound of a shed's read and write deadlines. */
+constexpr std::uint64_t kShedTimeoutMs = 1000;
+
+/** Wrap an errno into a config-kind SimError with a prefix. */
 [[noreturn]] void
-throwErrno(const std::string& what)
+throwErrno(const std::string& what, int err = errno)
 {
-    throwConfigError(what + ": " + std::strerror(errno));
+    throwConfigError(what + ": " + std::strerror(err));
 }
 
 sockaddr_un
@@ -51,100 +60,64 @@ socketAddress(const std::string& path)
     return addr;
 }
 
-/** Client side: read until EOF (the peer shut down its write side). */
-std::string
-readAll(int fd)
-{
-    std::string out;
-    char buf[16384];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof buf);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throwErrno("read");
-        }
-        if (n == 0)
-            return out;
-        out.append(buf, static_cast<std::size_t>(n));
-    }
-}
+/** How a socket transfer ended. */
+enum class IoOutcome { kOk, kTooLarge, kTimeout, kError };
 
 /**
- * Write all of @p text. MSG_NOSIGNAL: a peer that hung up turns into
- * an EPIPE error instead of a process-killing SIGPIPE.
+ * Arm SO_RCVTIMEO or SO_SNDTIMEO (@p option) with what is left until
+ * @p deadline, for the next blocking call. False once it has passed.
  */
-void
-writeAll(int fd, const std::string& text)
+bool
+armDeadline(int fd, int option, Clock::time_point deadline)
 {
-    std::size_t off = 0;
-    while (off < text.size()) {
-        const ssize_t n = ::send(fd, text.data() + off,
-                                 text.size() - off, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throwErrno("write");
-        }
-        off += static_cast<std::size_t>(n);
-    }
-}
-
-/** Arm SO_RCVTIMEO/SO_SNDTIMEO for the next blocking call. */
-void
-armSocketTimeout(int fd, int option, std::uint64_t ms)
-{
+    const auto remaining =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - Clock::now())
+            .count();
+    if (remaining <= 0)
+        return false;
     timeval tv{};
-    tv.tv_sec = static_cast<time_t>(ms / 1000);
-    tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
+    tv.tv_sec = static_cast<time_t>(remaining / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((remaining % 1000) * 1000);
     ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof tv);
+    return true;
 }
 
-enum class ReadOutcome { kOk, kTooLarge, kTimeout, kError };
+/** The outcome of a call that failed (not with EINTR); errno to @p err. */
+IoOutcome
+failure(int* err)
+{
+    *err = errno;
+    return *err == EAGAIN || *err == EWOULDBLOCK ? IoOutcome::kTimeout
+                                                 : IoOutcome::kError;
+}
 
 /**
- * Daemon side: read one request to EOF under a total deadline and a
- * size limit. An oversized request keeps being drained (discarded)
- * until EOF so the client can finish writing and still receive the
- * typed reject, but nothing past the limit is buffered.
+ * Read @p fd to EOF into @p out, keeping at most @p max_bytes: past
+ * the cap the rest is still read, so the peer can finish writing, but
+ * discarded, and the outcome is kTooLarge. @p timeout_ms > 0 bounds
+ * the whole read; 0 waits as long as the peer takes and makes no
+ * setsockopt call. A failure's errno goes to @p err.
  */
-ReadOutcome
-readRequest(int fd, std::uint64_t max_bytes, std::uint64_t timeout_ms,
-            std::string* out, int* err_out)
+IoOutcome
+readToEof(int fd, std::uint64_t max_bytes, std::uint64_t timeout_ms,
+          std::string* out, int* err)
 {
-    *err_out = 0;
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(timeout_ms);
     bool too_large = false;
     char buf[16384];
     for (;;) {
-        if (const int injected = faultInjectAt("socket.read")) {
-            *err_out = injected;
-            return injected == EAGAIN ? ReadOutcome::kTimeout
-                                      : ReadOutcome::kError;
-        }
-        if (timeout_ms > 0) {
-            const auto remaining =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - Clock::now())
-                    .count();
-            if (remaining <= 0)
-                return ReadOutcome::kTimeout;
-            armSocketTimeout(
-                fd, SO_RCVTIMEO,
-                static_cast<std::uint64_t>(remaining));
-        }
+        if (timeout_ms > 0 && !armDeadline(fd, SO_RCVTIMEO, deadline))
+            return IoOutcome::kTimeout;
         const ssize_t n = ::read(fd, buf, sizeof buf);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                return ReadOutcome::kTimeout;
-            *err_out = errno;
-            return ReadOutcome::kError;
+            return failure(err);
         }
         if (n == 0)
-            return too_large ? ReadOutcome::kTooLarge : ReadOutcome::kOk;
+            return too_large ? IoOutcome::kTooLarge : IoOutcome::kOk;
         if (!too_large) {
             out->append(buf, static_cast<std::size_t>(n));
             if (out->size() > max_bytes) {
@@ -156,47 +129,30 @@ readRequest(int fd, std::uint64_t max_bytes, std::uint64_t timeout_ms,
 }
 
 /**
- * Daemon side: write one response under a total deadline. Returns
- * kOk, kTimeout or kError (the connection is torn down either way).
+ * Write all of @p text to @p fd under the same optional deadline as
+ * readToEof. MSG_NOSIGNAL: a peer that hung up is an EPIPE error, not
+ * a process-killing SIGPIPE.
  */
-ReadOutcome
-writeResponse(int fd, const std::string& text, std::uint64_t timeout_ms,
-              int* err_out)
+IoOutcome
+writeAll(int fd, const std::string& text, std::uint64_t timeout_ms,
+         int* err)
 {
-    *err_out = 0;
     const Clock::time_point deadline =
         Clock::now() + std::chrono::milliseconds(timeout_ms);
     std::size_t off = 0;
     while (off < text.size()) {
-        if (const int injected = faultInjectAt("socket.write")) {
-            *err_out = injected;
-            return injected == EAGAIN ? ReadOutcome::kTimeout
-                                      : ReadOutcome::kError;
-        }
-        if (timeout_ms > 0) {
-            const auto remaining =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - Clock::now())
-                    .count();
-            if (remaining <= 0)
-                return ReadOutcome::kTimeout;
-            armSocketTimeout(
-                fd, SO_SNDTIMEO,
-                static_cast<std::uint64_t>(remaining));
-        }
+        if (timeout_ms > 0 && !armDeadline(fd, SO_SNDTIMEO, deadline))
+            return IoOutcome::kTimeout;
         const ssize_t n = ::send(fd, text.data() + off,
                                  text.size() - off, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                return ReadOutcome::kTimeout;
-            *err_out = errno;
-            return ReadOutcome::kError;
+            return failure(err);
         }
         off += static_cast<std::size_t>(n);
     }
-    return ReadOutcome::kOk;
+    return IoOutcome::kOk;
 }
 
 } // namespace
@@ -239,15 +195,13 @@ ServeDaemon::start()
         const int saved = errno;
         ::close(listenFd_);
         listenFd_ = -1;
-        errno = saved;
-        throwErrno("bind " + opts_.socketPath);
+        throwErrno("bind " + opts_.socketPath, saved);
     }
     if (::listen(listenFd_, 64) != 0) {
         const int saved = errno;
         ::close(listenFd_);
         listenFd_ = -1;
-        errno = saved;
-        throwErrno("listen " + opts_.socketPath);
+        throwErrno("listen " + opts_.socketPath, saved);
     }
 
     stopRequested_.store(false);
@@ -307,47 +261,8 @@ ServeDaemon::retryHintMs() const
         backlog = queue_.size();
     }
     const std::uint64_t hint =
-        opts_.retryAfterMs * (1 + static_cast<std::uint64_t>(backlog));
+        kRetryAfterMs * (1 + static_cast<std::uint64_t>(backlog));
     return std::min<std::uint64_t>(hint, 30000);
-}
-
-void
-ServeDaemon::shedConnection(int fd, const char* reason)
-{
-    const std::string response =
-        overloadedResponse(reason, retryHintMs());
-    int err = 0;
-    // Short deadline: a shed exists to protect the daemon; a client
-    // too slow to take the hint is not worth waiting for.
-    const std::uint64_t deadline_ms =
-        opts_.ioTimeoutMs > 0 ? std::min<std::uint64_t>(
-                                    opts_.ioTimeoutMs, 1000)
-                              : 1000;
-    (void)writeResponse(fd, response, deadline_ms, &err);
-    ::shutdown(fd, SHUT_WR);
-    // Drain (discard) whatever request the client is still writing so
-    // it never sees EPIPE before it can read the shed document; the
-    // same deadline bounds a client that never finishes.
-    const Clock::time_point drain_deadline =
-        Clock::now() + std::chrono::milliseconds(deadline_ms);
-    char scratch[4096];
-    for (;;) {
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                drain_deadline - Clock::now())
-                .count();
-        if (remaining <= 0)
-            break;
-        armSocketTimeout(fd, SO_RCVTIMEO,
-                         static_cast<std::uint64_t>(remaining));
-        const ssize_t n = ::read(fd, scratch, sizeof scratch);
-        if (n > 0)
-            continue;
-        if (n < 0 && errno == EINTR)
-            continue;
-        break; // EOF, timeout or error: done either way
-    }
-    ::close(fd);
 }
 
 void
@@ -419,7 +334,7 @@ ServeDaemon::acceptLoop()
             const std::lock_guard<std::mutex> lock(qmu_);
             if (static_cast<int>(queue_.size()) <
                 std::max(1, opts_.queueDepth)) {
-                queue_.push_back({fd, Clock::now()});
+                queue_.push_back(fd);
                 admitted = true;
             }
         }
@@ -427,7 +342,7 @@ ServeDaemon::acceptLoop()
             qcv_.notify_one();
         } else {
             shedQueueFull_.fetch_add(1, std::memory_order_relaxed);
-            shedConnection(fd, "queueFull");
+            answer(fd, "queueFull");
         }
     }
     {
@@ -442,7 +357,7 @@ void
 ServeDaemon::dispatchLoop()
 {
     for (;;) {
-        PendingConn conn;
+        int fd = -1;
         bool closed = false;
         {
             std::unique_lock<std::mutex> lk(qmu_);
@@ -451,90 +366,76 @@ ServeDaemon::dispatchLoop()
             });
             if (queue_.empty())
                 return; // closed and drained
-            conn = queue_.front();
+            fd = queue_.front();
             queue_.pop_front();
             closed = queueClosed_;
         }
-        if (closed) {
-            // Shutting down: shed the backlog instead of serving it —
-            // a queued simulation batch could hold the stop for
-            // minutes.
+        // Shutting down: shed the backlog instead of serving it — a
+        // queued simulation batch could hold the stop for minutes.
+        if (closed)
             shedShutdown_.fetch_add(1, std::memory_order_relaxed);
-            shedConnection(conn.fd, "shutdown");
-            continue;
-        }
-        if (opts_.requestDeadlineMs > 0) {
-            const auto waited =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    Clock::now() - conn.enqueuedAt)
-                    .count();
-            if (waited > static_cast<long long>(
-                             opts_.requestDeadlineMs)) {
-                shedDeadline_.fetch_add(1, std::memory_order_relaxed);
-                shedConnection(conn.fd, "deadline");
-                continue;
-            }
-        }
-        handleConnection(conn.fd);
-        ::close(conn.fd);
-        requestsServed_.fetch_add(1, std::memory_order_relaxed);
+        answer(fd, closed ? "shutdown" : nullptr);
     }
 }
 
 void
-ServeDaemon::handleConnection(int fd)
+ServeDaemon::answer(int fd, const char* shed_reason)
 {
+    // A shed ignores its request but still reads it, keeping none of
+    // it, so a client that writes before it reads never sees EPIPE. A
+    // client too slow to take the hint is not worth waiting for: a
+    // shed waits at most 1 s each way.
+    const bool shed = shed_reason != nullptr;
+    std::uint64_t timeout_ms = opts_.ioTimeoutMs;
+    if (shed && (timeout_ms == 0 || timeout_ms > kShedTimeoutMs))
+        timeout_ms = kShedTimeoutMs;
+    std::string request;
+    int err = 0;
+    const IoOutcome read =
+        readToEof(fd, shed ? 0 : opts_.maxRequestBytes, timeout_ms,
+                  &request, &err);
+
     std::string response;
-    try {
-        std::string request;
-        int err = 0;
-        switch (readRequest(fd, opts_.maxRequestBytes, opts_.ioTimeoutMs,
-                            &request, &err)) {
-          case ReadOutcome::kOk:
+    if (shed) {
+        response = overloadedResponse(shed_reason, retryHintMs());
+    } else if (read == IoOutcome::kTooLarge) {
+        rejectedOversize_.fetch_add(1, std::memory_order_relaxed);
+        response = errorResponse(
+            "RequestTooLarge",
+            "request exceeds serve.maxRequestBytes = " +
+                std::to_string(opts_.maxRequestBytes) + " bytes");
+    } else if (read == IoOutcome::kTimeout) {
+        ioTimeouts_.fetch_add(1, std::memory_order_relaxed);
+        response = errorResponse(
+            "Timeout", "request not complete within serve.ioTimeoutMs = " +
+                           std::to_string(opts_.ioTimeoutMs) + " ms");
+    } else if (read == IoOutcome::kError) {
+        logWarn("apres_serve: request read failed: ", std::strerror(err));
+        response = errorResponse("InternalError",
+                                 std::string("request read failed: ") +
+                                     std::strerror(err));
+    } else {
+        try {
             response = handleRequest(request);
-            break;
-          case ReadOutcome::kTooLarge:
-            rejectedOversize_.fetch_add(1, std::memory_order_relaxed);
-            response = errorResponse(
-                "RequestTooLarge",
-                "request exceeds serve.maxRequestBytes = " +
-                    std::to_string(opts_.maxRequestBytes) + " bytes");
-            break;
-          case ReadOutcome::kTimeout:
-            ioTimeouts_.fetch_add(1, std::memory_order_relaxed);
-            response = errorResponse(
-                "Timeout",
-                "request not complete within serve.ioTimeoutMs = " +
-                    std::to_string(opts_.ioTimeoutMs) + " ms");
-            break;
-          case ReadOutcome::kError:
-            logWarn("apres_serve: request read failed: ",
-                    std::strerror(err));
-            response = errorResponse("InternalError",
-                                     std::string("request read failed: ") +
-                                         std::strerror(err));
-            break;
+        } catch (const SimError& e) {
+            response = errorResponse(e.kindName(), e.detail());
+        } catch (const std::exception& e) {
+            response = errorResponse("InternalError", e.what());
         }
-    } catch (const SimError& e) {
-        response = errorResponse(e.kindName(), e.detail());
-    } catch (const std::exception& e) {
-        response = errorResponse("InternalError", e.what());
     }
 
-    int err = 0;
-    switch (writeResponse(fd, response, opts_.ioTimeoutMs, &err)) {
-      case ReadOutcome::kOk:
-        break;
-      case ReadOutcome::kTimeout:
+    const IoOutcome wrote = writeAll(fd, response, timeout_ms, &err);
+    if (!shed && wrote == IoOutcome::kTimeout) {
         ioTimeouts_.fetch_add(1, std::memory_order_relaxed);
         logWarn("apres_serve: response write timed out; client too "
                 "slow or gone");
-        break;
-      default:
+    } else if (!shed && wrote == IoOutcome::kError) {
         logWarn("apres_serve: client went away mid-response: ",
                 std::strerror(err));
-        break;
     }
+    ::close(fd);
+    if (!shed)
+        requestsServed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 ServeLoadStats
@@ -543,7 +444,6 @@ ServeDaemon::loadStats() const
     ServeLoadStats s;
     s.requestsServed = requestsServed_.load(std::memory_order_relaxed);
     s.shedQueueFull = shedQueueFull_.load(std::memory_order_relaxed);
-    s.shedDeadline = shedDeadline_.load(std::memory_order_relaxed);
     s.shedShutdown = shedShutdown_.load(std::memory_order_relaxed);
     s.rejectedOversize =
         rejectedOversize_.load(std::memory_order_relaxed);
@@ -611,7 +511,6 @@ ServeDaemon::handleRequest(const std::string& request_json)
         json.field("threads", static_cast<std::uint64_t>(threads_));
         json.field("requestsServed", load.requestsServed);
         json.field("shedQueueFull", load.shedQueueFull);
-        json.field("shedDeadline", load.shedDeadline);
         json.field("shedShutdown", load.shedShutdown);
         json.field("rejectedOversize", load.rejectedOversize);
         json.field("ioTimeouts", load.ioTimeouts);
@@ -692,20 +591,24 @@ serveRoundTrip(const std::string& socket_path,
                   sizeof addr) != 0) {
         const int saved = errno;
         ::close(fd);
-        errno = saved;
-        throwErrno("connect " + socket_path);
+        throwErrno("connect " + socket_path, saved);
     }
-    try {
-        writeAll(fd, request_json);
-        if (::shutdown(fd, SHUT_WR) != 0)
-            throwErrno("shutdown");
-        std::string response = readAll(fd);
-        ::close(fd);
-        return response;
-    } catch (...) {
-        ::close(fd);
-        throw;
+    std::string response;
+    int err = 0;
+    const char* failed = nullptr;
+    if (writeAll(fd, request_json, 0, &err) != IoOutcome::kOk) {
+        failed = "write";
+    } else if (::shutdown(fd, SHUT_WR) != 0) {
+        failed = "shutdown";
+        err = errno;
+    } else if (readToEof(fd, response.max_size(), 0, &response, &err) !=
+               IoOutcome::kOk) {
+        failed = "read";
     }
+    ::close(fd);
+    if (failed)
+        throwErrno(failed, err);
+    return response;
 }
 
 namespace {
@@ -734,58 +637,44 @@ isOverloadedResponse(const std::string& response,
 
 std::string
 serveRoundTripWithRetry(const std::string& socket_path,
-                        const std::string& request_json,
-                        const ServeRetryPolicy& policy,
-                        int* attempts_out)
+                        const std::string& request_json, int* attempts_out)
 {
-    std::uint64_t seed = policy.seed;
-    if (seed == 0) {
-        seed = static_cast<std::uint64_t>(::getpid()) ^
-               static_cast<std::uint64_t>(
-                   Clock::now().time_since_epoch().count());
-    }
+    constexpr int kRetries = 8; // after the first attempt
+    constexpr std::uint64_t kFirstNapMs = 100; // doubles per retry...
+    constexpr std::uint64_t kMaxNapMs = 5000;  // ...up to this
+    const std::uint64_t seed =
+        static_cast<std::uint64_t>(::getpid()) ^
+        static_cast<std::uint64_t>(Clock::now().time_since_epoch().count());
     std::minstd_rand rng(
         static_cast<std::uint32_t>(seed ^ (seed >> 32)) | 1u);
 
-    std::string response;
-    int attempts = 0;
     for (int attempt = 0;; ++attempt) {
-        ++attempts;
-        bool transport_failed = false;
+        if (attempts_out)
+            *attempts_out = attempt + 1;
         std::uint64_t hint_ms = 0;
         try {
-            response = serveRoundTrip(socket_path, request_json);
+            std::string response = serveRoundTrip(socket_path, request_json);
+            // A real answer (result, error, pong, ...), or the last shed.
+            if (!isOverloadedResponse(response, &hint_ms) ||
+                attempt == kRetries) {
+                return response;
+            }
         } catch (const SimError&) {
             // Daemon restarting or socket not up yet: retryable.
-            if (attempt >= policy.budget) {
-                if (attempts_out)
-                    *attempts_out = attempts;
+            if (attempt == kRetries)
                 throw;
-            }
-            transport_failed = true;
-        }
-        if (!transport_failed) {
-            if (!isOverloadedResponse(response, &hint_ms))
-                break; // a real answer (result, error, pong, ...)
-            if (attempt >= policy.budget)
-                break; // budget exhausted; caller sees the shed
         }
 
         // Jittered exponential backoff, floored by the daemon's hint:
         // full-jitter on [delay/2, delay] decorrelates a thundering
         // herd of clients all shed at the same instant.
-        const int shift = std::min(attempt, 20);
-        std::uint64_t delay = std::max<std::uint64_t>(policy.baseMs, 1)
-                              << shift;
-        delay = std::min(delay, std::max<std::uint64_t>(policy.maxMs, 1));
+        const std::uint64_t delay =
+            std::min(kFirstNapMs << attempt, kMaxNapMs);
         const std::uint64_t jittered =
             delay / 2 + rng() % (delay / 2 + 1);
         std::this_thread::sleep_for(std::chrono::milliseconds(
             std::max(jittered, hint_ms)));
     }
-    if (attempts_out)
-        *attempts_out = attempts;
-    return response;
 }
 
 } // namespace apres

@@ -30,9 +30,10 @@
  * bounded admission queue (serve.queueDepth) has room; otherwise the
  * client gets a typed {"type":"overloaded","retryAfterMs":...} shed
  * response immediately instead of queueing silently. The dispatchers
- * drain the queue; a request that waited past
- * serve.requestDeadlineMs is shed the same way without being parsed.
- * Socket reads and writes carry deadlines (serve.ioTimeoutMs) so a
+ * drain the queue, and at shutdown shed what is left the same way.
+ * Served and shed connections end in one routine: read the request to
+ * EOF, build the response, write it, close. Socket reads and writes
+ * carry deadlines (serve.ioTimeoutMs; at most 1 s for a shed) so a
  * slow or half-open client cannot pin a dispatcher, and requests over
  * serve.maxRequestBytes are rejected with a typed RequestTooLarge
  * error. accept() running out of file descriptors (EMFILE/ENFILE)
@@ -47,7 +48,6 @@
 #define APRES_SERVE_DAEMON_HPP
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -88,15 +88,6 @@ struct ServeOptions
     /** Admission-queue depth; connections beyond it are shed. */
     int queueDepth = 16;
 
-    /**
-     * Maximum time a connection may wait in the queue before it is
-     * shed with reason "deadline" instead of served; 0 disables.
-     */
-    std::uint64_t requestDeadlineMs = 0;
-
-    /** Base of the backlog-scaled retryAfterMs hint in sheds. */
-    std::uint64_t retryAfterMs = 250;
-
     /** Requests larger than this are rejected (RequestTooLarge). */
     std::uint64_t maxRequestBytes = 16ull * 1024 * 1024;
 
@@ -115,7 +106,6 @@ struct ServeLoadStats
 {
     std::uint64_t requestsServed = 0;   ///< connections fully handled
     std::uint64_t shedQueueFull = 0;    ///< rejected at admission
-    std::uint64_t shedDeadline = 0;     ///< expired waiting in queue
     std::uint64_t shedShutdown = 0;     ///< queued at shutdown
     std::uint64_t rejectedOversize = 0; ///< over maxRequestBytes
     std::uint64_t ioTimeouts = 0;       ///< read/write deadline hit
@@ -177,24 +167,20 @@ class ServeDaemon
         return simulations_.load(std::memory_order_relaxed);
     }
 
-    const ServeOptions& options() const { return opts_; }
-
   private:
-    struct PendingConn
-    {
-        int fd = -1;
-        std::chrono::steady_clock::time_point enqueuedAt;
-    };
-
     void acceptLoop();
     void dispatchLoop();
-    void handleConnection(int fd);
     std::string handleRun(const ServeRequest& request);
 
-    /** Best-effort typed shed response + close. */
-    void shedConnection(int fd, const char* reason);
+    /**
+     * The one routine that ends a connection: read the request, build
+     * the response, write it, close @p fd. A non-null @p shed_reason
+     * ("queueFull", "shutdown") answers with the typed shed document
+     * and discards the request.
+     */
+    void answer(int fd, const char* shed_reason);
 
-    /** Backlog-scaled retryAfterMs hint. */
+    /** The retryAfterMs hint: 250 ms x (1 + backlog), at most 30 s. */
     std::uint64_t retryHintMs() const;
 
     void joinAll();
@@ -213,13 +199,12 @@ class ServeDaemon
     // Admission queue, fed by the accept loop, drained by dispatchers.
     mutable std::mutex qmu_;
     std::condition_variable qcv_;
-    std::deque<PendingConn> queue_;
+    std::deque<int> queue_; ///< accepted descriptors
     bool queueClosed_ = false;
     std::vector<std::thread> dispatchers_;
 
     std::atomic<std::uint64_t> requestsServed_{0};
     std::atomic<std::uint64_t> shedQueueFull_{0};
-    std::atomic<std::uint64_t> shedDeadline_{0};
     std::atomic<std::uint64_t> shedShutdown_{0};
     std::atomic<std::uint64_t> rejectedOversize_{0};
     std::atomic<std::uint64_t> ioTimeouts_{0};
@@ -235,36 +220,17 @@ std::string serveRoundTrip(const std::string& socket_path,
                            const std::string& request_json);
 
 /**
- * Client-side retry policy for serveRoundTripWithRetry: jittered
- * exponential backoff with a bounded budget, honoring the daemon's
- * retryAfterMs hint as a lower bound on every nap.
- */
-struct ServeRetryPolicy
-{
-    /** Retries after the first attempt; 0 = plain serveRoundTrip. */
-    int budget = 0;
-
-    /** First backoff nap; doubles per retry (before jitter). */
-    std::uint64_t baseMs = 100;
-
-    /** Backoff ceiling. */
-    std::uint64_t maxMs = 5000;
-
-    /** Jitter seed; 0 derives one from pid + clock. */
-    std::uint64_t seed = 0;
-};
-
-/**
  * serveRoundTrip that retries on typed overloaded responses and on
- * transport failures (daemon restarting), sleeping
+ * transport failures (daemon restarting): up to 8 retries, sleeping
  * max(retryAfterMs hint, jittered exponential backoff) between
- * attempts. Returns the final response (possibly still "overloaded"
- * when the budget ran out); rethrows the final transport failure.
- * @p attempts_out, when non-null, receives the attempt count.
+ * attempts. The backoff starts at 100 ms and doubles per retry up to
+ * 5 s, with jitter seeded from the pid and the clock. Returns the
+ * final response (possibly still "overloaded" when the retries ran
+ * out); rethrows the final transport failure. @p attempts_out, when
+ * non-null, receives the attempt count.
  */
 std::string serveRoundTripWithRetry(const std::string& socket_path,
                                     const std::string& request_json,
-                                    const ServeRetryPolicy& policy,
                                     int* attempts_out = nullptr);
 
 } // namespace apres

@@ -37,19 +37,20 @@
  *      workloads, "text:<contentHash(kernel text)>" for inline
  *      kernels — kernel identity, not kernel pointer;
  *   3. the *semantic* ConfigRegistry snapshot (sorted key=value
- *      lines). Observation-only keys (sim.trace*, sim.metrics,
- *      sim.audit*, ...) are excluded; see ConfigKeyKind.
+ *      lines). Observation-only keys (sim.trace*, sim.audit*, ...)
+ *      are excluded; see ConfigRegistry::semanticSnapshot. The same
+ *      snapshot is the "config" echo of every result, so a cached
+ *      payload never depends on which request stored it.
  *
  * Only status=="ok" results are cached: errors and timeouts are
  * environmental or diagnostic, and re-running them is the point.
  *
  * Overload control: a daemon whose bounded admission queue is full,
- * or that picks a request off the queue after its queue-wait deadline
- * expired, answers with a typed shed document instead of queueing
- * silently:
+ * or that is shutting down with requests still queued, answers with a
+ * typed shed document instead of queueing silently:
  *
- *   {"type": "overloaded", "reason": "queueFull" | "deadline" |
- *    "shutdown", "retryAfterMs": 500}
+ *   {"type": "overloaded", "reason": "queueFull" | "shutdown",
+ *    "retryAfterMs": 500}
  *
  * retryAfterMs is the daemon's backlog-scaled hint; well-behaved
  * clients (apres_sim --connect, serveRoundTripWithRetry) honor it as
@@ -79,7 +80,7 @@ namespace apres {
  * part of every cache key, so a bump invalidates all cached entries
  * at once instead of serving stale documents.
  */
-inline constexpr const char* kStatsSchemaVersion = "apres-results-v2";
+inline constexpr const char* kStatsSchemaVersion = "apres-results-v3";
 
 /** The fingerprint cache keys embed: kStatsSchemaVersion. */
 std::string serveFingerprint();
@@ -153,8 +154,7 @@ std::string errorResponse(const std::string& kind,
 
 /**
  * The typed shed document: {"type":"overloaded","reason":...,
- * "retryAfterMs":...}. @p reason is "queueFull", "deadline" or
- * "shutdown".
+ * "retryAfterMs":...}. @p reason is "queueFull" or "shutdown".
  */
 std::string overloadedResponse(const std::string& reason,
                                std::uint64_t retry_after_ms);

@@ -14,8 +14,6 @@ ServeConfigRegistry::ServeConfigRegistry(ServeOptions& opts)
     addString("serve.cacheDir", opts.cacheDir);
     addInt("serve.threads", opts.threads, 0, kMaxServeThreads);
     addInt("serve.queueDepth", opts.queueDepth, 1, 1 << 20);
-    addInt("serve.requestDeadlineMs", opts.requestDeadlineMs, 0);
-    addInt("serve.retryAfterMs", opts.retryAfterMs, 1, 3600000);
     addInt("serve.maxRequestBytes", opts.maxRequestBytes, 1);
     addInt("serve.ioTimeoutMs", opts.ioTimeoutMs, 0);
     addInt("serve.cacheMaxBytes", opts.cacheMaxBytes, 0);

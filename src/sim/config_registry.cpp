@@ -17,18 +17,20 @@ namespace apres {
 namespace {
 
 /**
- * The observation-only keys (ConfigKeyKind); every other key is
- * semantic. sim.fastForward qualifies because the ff-equivalence
+ * The observation-only keys (semanticSnapshot() leaves them out);
+ * every other key is semantic, so a new key defaults to changing the
+ * cache key. sim.fastForward qualifies because the ff-equivalence
  * suite pins its stats bitwise-identical to the naive loop;
  * sim.shards because the parallel epoch engine is pinned
  * bitwise-identical to the serial one by the same suite (a cached
  * result is valid for any shard count); sim.watchdogCycles because it
  * can only turn a hang into an error, and errors are never cached.
+ * sim.metrics is not one: it adds the metrics.* stats.
  */
 constexpr const char* kObservationKeys[] = {
-    "sim.audit",             "sim.auditInterval", "sim.fastForward",
-    "sim.metrics",           "sim.shards",        "sim.trace",
-    "sim.traceBufferEvents", "sim.traceFile",     "sim.watchdogCycles"};
+    "sim.audit",     "sim.auditInterval",  "sim.fastForward",
+    "sim.shards",    "sim.trace",          "sim.traceBufferEvents",
+    "sim.traceFile", "sim.watchdogCycles"};
 
 std::string
 joinNames(const std::vector<std::string>& names)
@@ -224,18 +226,6 @@ ConfigRegistry::ConfigRegistry(GpuConfig& c)
         if (!has(key))
             fatal(std::string("unknown observation key \"") + key + "\"");
     }
-}
-
-ConfigKeyKind
-ConfigRegistry::keyKind(const std::string& key) const
-{
-    if (!has(key))
-        throwConfigError("unknown config key \"" + key + "\"");
-    for (const char* observation : kObservationKeys) {
-        if (key == observation)
-            return ConfigKeyKind::kObservation;
-    }
-    return ConfigKeyKind::kSemantic;
 }
 
 std::map<std::string, std::string>

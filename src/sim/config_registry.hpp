@@ -10,10 +10,10 @@
  *
  * The parsing, bounds and error rules are KeyRegistry's
  * (common/key_registry.hpp); this file holds only the GpuConfig
- * bindings and the semantic/observation split. snapshot() serializes
- * the full configuration back to strings, which is how results echo
- * the configuration that produced them (RunResult::config, the --json
- * output).
+ * bindings and the semantic/observation split. semanticSnapshot()
+ * serializes the configuration back to strings, which is how results
+ * echo the configuration that produced them (RunResult::config, the
+ * --json output).
  *
  * The registry holds references into the config it was built over and
  * must not outlive it; construction is cheap, so build one on demand.
@@ -34,32 +34,8 @@
 namespace apres {
 
 /**
- * How a config key affects a simulation's outcome.
- *
- * The split is what makes content-addressed result caching sound:
- * the cache key hashes only the semantic keys, so flipping a purely
- * observational knob (tracing, metrics, auditing) still hits the
- * cache. Observation purity is not an assumption — it is pinned by
- * FfEquivalence.ObservationIsPure and the ff-equivalence matrix,
- * which prove stats are bitwise identical with these knobs on or off.
- */
-enum class ConfigKeyKind {
-    /** Changes the simulated machine or workload: part of results. */
-    kSemantic,
-
-    /**
-     * Pure observation or engine selection: never changes a single
-     * statistic (sim.trace*, sim.metrics, sim.audit*, the proven
-     * bitwise-equivalent sim.fastForward, and sim.watchdogCycles,
-     * which only converts a hang into an error — and errors are
-     * never cached).
-     */
-    kObservation,
-};
-
-/**
  * String-keyed view over one GpuConfig: a binding per field plus the
- * semantic/observation split of every key.
+ * semantic/observation split of the keys.
  */
 class ConfigRegistry : public KeyRegistry
 {
@@ -69,13 +45,14 @@ class ConfigRegistry : public KeyRegistry
 
     /**
      * Only the semantic keys with their current values, sorted by
-     * key: the canonical input of a result-cache key. See
-     * ConfigKeyKind for why observation keys are excluded.
+     * key: the canonical input of a result-cache key and the config
+     * every result echoes. The observation keys it leaves out
+     * (sim.trace*, sim.audit*, sim.fastForward, sim.shards,
+     * sim.watchdogCycles) never change a cached statistic, which
+     * FfEquivalence.ObservationIsPure and the ff-equivalence matrix
+     * pin, so flipping one still hits the cache.
      */
     std::map<std::string, std::string> semanticSnapshot() const;
-
-    /** Classification of @p key; throws SimError(kConfig) if unknown. */
-    ConfigKeyKind keyKind(const std::string& key) const;
 
   private:
     void addPolicyName(const std::string& key, std::string& field,

@@ -643,10 +643,11 @@ Gpu::collect() const
         r.dramRowMisses += dram.rowMisses;
     }
 
-    // Echo the configuration so the result is self-describing. The
-    // registry needs a mutable config; snapshot a copy.
+    // Echo the semantic configuration so the result is
+    // self-describing and the same for every run that shares its cache
+    // key. The registry needs a mutable config; snapshot a copy.
     GpuConfig echo = cfg;
-    r.config = ConfigRegistry(echo).snapshot();
+    r.config = ConfigRegistry(echo).semanticSnapshot();
 
     EnergyInputs ei;
     ei.instructions = r.instructions;

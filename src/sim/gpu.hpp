@@ -84,9 +84,10 @@ struct RunResult
     StatSet perSm;
 
     /**
-     * The full configuration that produced this result, serialized
-     * through ConfigRegistry::snapshot() (dotted key -> value string).
-     * Makes every result self-describing.
+     * The semantic configuration that produced this result, serialized
+     * through ConfigRegistry::semanticSnapshot() (dotted key -> value
+     * string). Makes every result self-describing; the observation
+     * keys are left out so that runs sharing a cache key echo the same.
      */
     std::map<std::string, std::string> config;
 

@@ -18,14 +18,12 @@
  *
  * Every serving knob is a serve.* config key (--set serve.key=value,
  * enumerable with --list-keys); the named flags below are sugar over
- * the same registry. --fault-inject (or the APRES_FAULT_INJECT env
- * var) arms the deterministic fault-injection seam for chaos testing
- * — never use it in production.
+ * the same registry. --fault-inject arms the deterministic
+ * fault-injection seam for chaos testing — never use it in production.
  */
 
 #include <atomic>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -73,17 +71,14 @@ printHelp()
         "  --queue-depth N        admission-queue depth; connections\n"
         "                         beyond it get a typed overloaded "
         "shed (default: 16)\n"
-        "  --request-deadline-ms N  shed requests that waited longer "
-        "(default: off)\n"
         "  --io-timeout-ms N      socket read/write deadline "
         "(default: 10000)\n"
         "  --max-request-bytes N  reject larger requests "
         "(default: 16 MiB)\n"
         "  --set KEY=VALUE        set any serve.* key directly\n"
         "  --list-keys            print every serve.* key and exit\n"
-        "  --fault-inject SPEC    arm deterministic fault injection\n"
-        "                         (also: APRES_FAULT_INJECT env var; "
-        "testing only)\n"
+        "  --fault-inject SPEC    arm deterministic fault injection "
+        "(testing only)\n"
         "  --help                 this text\n\n"
         "Requests are one JSON document per connection; see DESIGN.md\n"
         "\"Simulation service\" for the protocol, overload control "
@@ -96,8 +91,6 @@ run(int argc, char** argv)
     ServeOptions opts;
     ServeConfigRegistry registry(opts);
     std::string faultSpec;
-    if (const char* env = std::getenv("APRES_FAULT_INJECT"))
-        faultSpec = env;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -125,14 +118,10 @@ run(int argc, char** argv)
             registry.set("serve.threads", next());
         } else if (arg == "--queue-depth") {
             registry.set("serve.queueDepth", next());
-        } else if (arg == "--request-deadline-ms") {
-            registry.set("serve.requestDeadlineMs", next());
         } else if (arg == "--io-timeout-ms") {
             registry.set("serve.ioTimeoutMs", next());
         } else if (arg == "--max-request-bytes") {
             registry.set("serve.maxRequestBytes", next());
-        } else if (arg == "--retry-after-ms") {
-            registry.set("serve.retryAfterMs", next());
         } else if (arg == "--set") {
             registry.applyAssignment(next());
         } else if (arg == "--fault-inject") {
@@ -170,9 +159,8 @@ run(int argc, char** argv)
     std::cerr << "[apres-serve] served " << stats.hits() << " hit(s), "
               << stats.misses << " miss(es), ran "
               << daemon.simulationsRun() << " simulation(s)";
-    if (load.shedQueueFull + load.shedDeadline + load.shedShutdown > 0) {
+    if (load.shedQueueFull + load.shedShutdown > 0) {
         std::cerr << "; shed " << load.shedQueueFull << " queueFull / "
-                  << load.shedDeadline << " deadline / "
                   << load.shedShutdown << " shutdown";
     }
     if (stats.evictions > 0)

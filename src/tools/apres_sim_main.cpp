@@ -86,13 +86,11 @@ printHelp()
         "                    daemon instead of simulating locally; the\n"
         "                    raw JSON response is printed to stdout and\n"
         "                    repeated configurations are answered from\n"
-        "                    its content-addressed result cache\n"
-        "  --retry-budget N  retries when the daemon sheds with a typed\n"
-        "                    overloaded response or the connection\n"
-        "                    fails (default 8; 0 disables)\n"
-        "  --retry-base-ms N first backoff nap; doubles per retry with\n"
-        "                    jitter, floored by the daemon's\n"
-        "                    retryAfterMs hint (default 100)\n\n"
+        "                    its content-addressed result cache; a\n"
+        "                    typed overloaded shed or a failed\n"
+        "                    connection is retried up to 8 times with\n"
+        "                    jittered backoff (100 ms doubling to 5 s,\n"
+        "                    never under the daemon's retryAfterMs)\n\n"
         "output (jobs run on APRES_BENCH_JOBS workers, default all\n"
         "cores, and print in order; --json prints failed jobs as error\n"
         "rows, the other modes list them on stderr; any failure exits 1):\n"
@@ -135,8 +133,7 @@ overridesOverDefaults(const ConfigRegistry& registry)
  */
 int
 runConnected(const std::string& socket_path,
-             const std::vector<ServeJobSpec>& specs,
-             const ServeRetryPolicy& retry)
+             const std::vector<ServeJobSpec>& specs)
 {
     std::ostringstream os;
     JsonWriter json(os);
@@ -151,7 +148,7 @@ runConnected(const std::string& socket_path,
 
     int attempts = 0;
     const std::string response =
-        serveRoundTripWithRetry(socket_path, os.str(), retry, &attempts);
+        serveRoundTripWithRetry(socket_path, os.str(), &attempts);
     std::cout << response << '\n';
 
     const JsonValue doc = JsonValue::parse(response);
@@ -159,8 +156,7 @@ runConnected(const std::string& socket_path,
         if (doc.isObject() && doc.find("type") &&
             doc.at("type").asString() == "overloaded") {
             std::cerr << "apres_sim: daemon still overloaded after "
-                      << attempts << " attempt(s); raise --retry-budget "
-                      << "or try again later\n";
+                      << attempts << " attempt(s); try again later\n";
         }
         return 1;
     }
@@ -197,8 +193,6 @@ run(int argc, char** argv)
     std::string workload = "KM";
     std::string kernel_file;
     std::string connect_path;
-    ServeRetryPolicy retry;
-    retry.budget = 8;
     double scale = 1.0;
     std::string csv_path;
     std::string timeline_path;
@@ -227,11 +221,6 @@ run(int argc, char** argv)
             kernel_file = next();
         } else if (arg == "--connect") {
             connect_path = next();
-        } else if (arg == "--retry-budget") {
-            retry.budget =
-                static_cast<int>(parseUintOption(arg, next()));
-        } else if (arg == "--retry-base-ms") {
-            retry.baseMs = parsePositiveUintOption(arg, next());
         } else if (arg == "--scale") {
             scale = parsePositiveDoubleOption(arg, next());
         } else if (arg == "--set") {
@@ -319,7 +308,7 @@ run(int argc, char** argv)
         from_file ? std::vector{kernel_file} : std::vector<std::string>{},
         scale, overridesOverDefaults(registry));
     if (!connect_path.empty())
-        return runConnected(connect_path, specs, retry);
+        return runConnected(connect_path, specs);
 
     if (!cfg.traceFile.empty() && specs.size() > 1) {
         throwConfigError("sim.traceFile names one file, so --trace takes "

@@ -4,9 +4,9 @@
  * injector itself, LRU eviction and journal recovery in the bounded
  * disk cache, the memory tier's caps in every disk mode, the startup
  * scrub, the degradation ladder, and — over a live socket — overload
- * shedding, accept-backoff under fd exhaustion, oversize rejection,
- * queue-wait deadlines, and concurrent dispatch under the simulation
- * budget.
+ * shedding (a request larger than the socket buffer included),
+ * accept-backoff under fd exhaustion, oversize rejection, the read
+ * deadline, and concurrent dispatch under the simulation budget.
  *
  * Every test arms FaultInjector and resets it on teardown; the rest
  * of the suite (serve_test.cpp) runs with injection disarmed, which
@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -26,6 +27,9 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/fault_inject.hpp"
@@ -384,7 +388,7 @@ TEST(ServeConfig, RoundTripsAndRejectsGarbage)
     expectSimError(SimErrorKind::kConfig, "serve.threads",
                    [&] { registry.set("serve.threads", "257"); });
     EXPECT_EQ(opts.threads, 256);
-    EXPECT_EQ(registry.keys().size(), 10u);
+    EXPECT_EQ(registry.keys().size(), 8u);
 }
 
 // --------------------------------------------------------------------
@@ -409,7 +413,6 @@ TEST_F(ServeOverload, FullQueueShedsTypedAndRetrySucceeds)
     opts.socketPath = socketPath("overload");
     opts.queueDepth = 1;
     opts.threads = 1;
-    opts.retryAfterMs = 50;
     ServeDaemon daemon(opts);
     daemon.start();
 
@@ -439,13 +442,9 @@ TEST_F(ServeOverload, FullQueueShedsTypedAndRetrySucceeds)
     EXPECT_GE(daemon.loadStats().shedQueueFull, 1u);
 
     // The well-behaved client rides out the same storm with retries.
-    ServeRetryPolicy policy;
-    policy.budget = 20;
-    policy.baseMs = 25;
-    policy.seed = 42;
     int attempts = 0;
-    const std::string response = serveRoundTripWithRetry(
-        opts.socketPath, request, policy, &attempts);
+    const std::string response =
+        serveRoundTripWithRetry(opts.socketPath, request, &attempts);
     EXPECT_EQ(responseType(response), "result");
     EXPECT_GE(attempts, 1);
     daemon.stop();
@@ -496,32 +495,103 @@ TEST_F(ServeOverload, OversizeRequestGetsTypedReject)
     daemon.stop();
 }
 
-TEST_F(ServeOverload, QueueWaitDeadlineSheds)
+/**
+ * A raw client connection to @p path that gives up reading after 5 s,
+ * so a daemon that never answers fails the test instead of hanging it.
+ */
+int
+connectRaw(const std::string& path)
 {
-    // One dispatcher pinned on a 400 ms job and a 50 ms queue-wait
-    // deadline: a request that sat behind it must be shed with reason
-    // "deadline", never half-served.
-    FaultInjector::instance().configure("job.execute=sleep:400@1");
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+    timeval tv{};
+    tv.tv_sec = 5;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+TEST_F(ServeOverload, IncompleteRequestTimesOutTyped)
+{
+    // A client that writes half a request and never half-closes gets
+    // a typed Timeout once serve.ioTimeoutMs passes, and the one
+    // dispatcher is free again for the next request.
     ServeOptions opts;
-    opts.socketPath = socketPath("deadline");
-    opts.queueDepth = 8;
+    opts.socketPath = socketPath("read_deadline");
     opts.threads = 1;
-    opts.requestDeadlineMs = 50;
+    opts.ioTimeoutMs = 300;
+    ServeDaemon daemon(opts);
+    daemon.start();
+
+    const int fd = connectRaw(opts.socketPath);
+    ASSERT_GE(fd, 0);
+    const std::string partial = "{\"type\":\"pi";
+    ASSERT_EQ(::send(fd, partial.data(), partial.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(partial.size()));
+    const auto start = std::chrono::steady_clock::now();
+    std::string response;
+    char buf[4096];
+    for (ssize_t n; (n = ::read(fd, buf, sizeof buf)) > 0;)
+        response.append(buf, static_cast<std::size_t>(n));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ::close(fd);
+
+    const JsonValue doc = JsonValue::parse(response);
+    EXPECT_EQ(doc.at("type").asString(), "error");
+    EXPECT_EQ(doc.at("kind").asString(), "Timeout");
+    EXPECT_LT(elapsed, std::chrono::seconds(2));
+    EXPECT_EQ(daemon.loadStats().ioTimeouts, 1u);
+    EXPECT_EQ(responseType(serveRoundTrip(opts.socketPath,
+                                          "{\"type\": \"ping\"}")),
+              "pong");
+    daemon.stop();
+}
+
+TEST_F(ServeOverload, RequestLargerThanTheSocketBufferIsShedIntact)
+{
+    // One dispatcher pinned on a 600 ms job and one ping queued behind
+    // it fill a depth-1 queue. A 1 MiB ping, more than the socket
+    // buffer holds, is shed; its client must read the whole typed
+    // document, so the shed has to take the request off the socket.
+    FaultInjector::instance().configure("job.execute=sleep:600@1");
+    ServeOptions opts;
+    opts.socketPath = socketPath("big_shed");
+    opts.queueDepth = 1;
+    opts.threads = 1;
     ServeDaemon daemon(opts);
     daemon.start();
 
     std::thread slow([&] {
-        serveRoundTrip(opts.socketPath, kmRunRequest("slow"));
+        EXPECT_EQ(responseType(serveRoundTrip(opts.socketPath,
+                                              kmRunRequest("slow"))),
+                  "result");
     });
-    // Let the slow job reach the dispatcher before queueing behind it.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    const std::string response =
-        serveRoundTrip(opts.socketPath, "{\"type\": \"ping\"}");
+    std::thread queued([&] {
+        EXPECT_EQ(responseType(serveRoundTrip(opts.socketPath,
+                                              "{\"type\": \"ping\"}")),
+                  "pong");
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    std::string big = "{\"type\": \"ping\", \"pad\": \"";
+    big += std::string(1 << 20, 'x');
+    big += "\"}";
+    std::string response;
+    EXPECT_NO_THROW(response = serveRoundTrip(opts.socketPath, big));
     slow.join();
+    queued.join();
     const JsonValue doc = JsonValue::parse(response);
     EXPECT_EQ(doc.at("type").asString(), "overloaded");
-    EXPECT_EQ(doc.at("reason").asString(), "deadline");
-    EXPECT_EQ(daemon.loadStats().shedDeadline, 1u);
+    EXPECT_EQ(doc.at("reason").asString(), "queueFull");
+    EXPECT_GE(doc.at("retryAfterMs").asUint64(), 250u);
+    EXPECT_EQ(daemon.loadStats().shedQueueFull, 1u);
     daemon.stop();
 }
 

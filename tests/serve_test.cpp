@@ -159,15 +159,14 @@ TEST(CacheKey, ObservationKeysDoNotChangeKey)
     const std::string kfp = kernelFingerprint(job);
     const std::string base =
         computeCacheKey("fp", kfp, semanticSnapshot());
-    // Tracing, metrics, auditing and fast-forward are observation-only:
-    // they never change what a run computes (proven by the
-    // ff-equivalence and observation-purity suites), so they must not
-    // fragment the cache.
+    // Tracing, auditing and fast-forward are observation-only: they
+    // never change what a run computes (proven by the ff-equivalence
+    // and observation-purity suites), so they must not fragment the
+    // cache.
     const std::vector<std::pair<std::string, std::string>> observation = {
         {"sim.trace", "true"},
         {"sim.traceFile", "/tmp/t.json"},
         {"sim.traceBufferEvents", "1234"},
-        {"sim.metrics", "true"},
         {"sim.audit", "true"},
         {"sim.auditInterval", "77"},
         {"sim.fastForward", "false"},
@@ -182,6 +181,10 @@ TEST(CacheKey, ObservationKeysDoNotChangeKey)
         EXPECT_EQ(base, computeCacheKey("fp", kfp, semanticSnapshot({kv})))
             << kv.first;
     }
+    // Metrics add the metrics.* stats, so they change the result.
+    EXPECT_NE(base, computeCacheKey("fp", kfp,
+                                    semanticSnapshot({{"sim.metrics",
+                                                       "true"}})));
 }
 
 TEST(CacheKey, FingerprintAndKernelIdentityChangeKey)
@@ -220,10 +223,10 @@ TEST(CacheKey, GoldenKeysArePinned)
         // Config 1: all defaults, the named KM workload at scale 1.
         ServeJobSpec km;
         km.workload = "KM";
-        EXPECT_EQ(computeCacheKey("apres-results-v2",
+        EXPECT_EQ(computeCacheKey("apres-results-v3",
                                   kernelFingerprint(km),
                                   semanticSnapshot()),
-                  "bec8a5cfd7973deaef2ee40f4226e1f1");
+                  "d566f9d4ba45ec48ce5d1cd56d427b72");
     }
     {
         // Config 2: the APRES stack with a 64 KiB L1 and a pinned
@@ -233,7 +236,7 @@ TEST(CacheKey, GoldenKeysArePinned)
                           "load r0 gen=0\n";
         EXPECT_EQ(kernelFingerprint(text),
                   "text:25c5583523273acb4cb51887e8c7a1d3");
-        EXPECT_EQ(computeCacheKey("apres-results-v2",
+        EXPECT_EQ(computeCacheKey("apres-results-v3",
                                   kernelFingerprint(text),
                                   semanticSnapshot({
                                       {"scheduler", "laws"},
@@ -241,7 +244,7 @@ TEST(CacheKey, GoldenKeysArePinned)
                                       {"l1.sizeBytes", "65536"},
                                       {"seed", "12345"},
                                   })),
-                  "d6577ff62d3ba1ef5cd7260376db8830");
+                  "ddcd4f9422cbef5db92c37a8ef9f3e47");
     }
 }
 
@@ -464,10 +467,9 @@ TEST(ServeDaemon, ObservationOverridesHitTheSemanticEntry)
     daemon.handleRequest(runRequest({kmJob(32768)}));
     ASSERT_EQ(daemon.simulationsRun(), 1u);
 
-    // The same semantic config with metrics/audit observation toggled
-    // must be answered from cache.
+    // The same semantic config with auditing toggled must be answered
+    // from cache.
     ServeJobSpec observed = kmJob(32768);
-    observed.overrides.emplace_back("sim.metrics", "true");
     observed.overrides.emplace_back("sim.audit", "true");
     const std::string response =
         daemon.handleRequest(runRequest({observed}));
@@ -483,6 +485,64 @@ TEST(ServeDaemon, ObservationOverridesHitTheSemanticEntry)
         JsonValue::parse(daemon.handleRequest(runRequest({traced})));
     EXPECT_EQ(daemon.simulationsRun(), 1u);
     EXPECT_TRUE(traced_doc.at("runs").at(0).at("cached").asBool());
+}
+
+/** How many metrics.* stats runs[0] of @p response carries. */
+std::size_t
+metricsStatCount(const std::string& response)
+{
+    const JsonValue doc = JsonValue::parse(response);
+    std::size_t n = 0;
+    for (const auto& member :
+         doc.at("runs").at(0).at("result").at("stats").members()) {
+        if (member.first.rfind("metrics.", 0) == 0)
+            ++n;
+    }
+    return n;
+}
+
+bool
+firstRunCached(const std::string& response)
+{
+    return JsonValue::parse(response).at("runs").at(0).at("cached").asBool();
+}
+
+TEST(ServeDaemon, CachedPayloadDoesNotDependOnTheStoringRequest)
+{
+    // sim.metrics adds the metrics.* stats: asking for them misses on
+    // the plain entry, and the plain request keeps hitting its own.
+    ServeOptions opts;
+    ServeDaemon daemon(opts);
+    const std::string plain = runRequest({kmJob(32768, 0.01)});
+    ServeJobSpec metrics = kmJob(32768, 0.01);
+    metrics.overrides.emplace_back("sim.metrics", "true");
+
+    const std::string plain_cold = daemon.handleRequest(plain);
+    ASSERT_EQ(daemon.simulationsRun(), 1u);
+    EXPECT_EQ(metricsStatCount(plain_cold), 0u);
+
+    const std::string metrics_cold =
+        daemon.handleRequest(runRequest({metrics}));
+    EXPECT_EQ(daemon.simulationsRun(), 2u);
+    EXPECT_FALSE(firstRunCached(metrics_cold));
+    EXPECT_GT(metricsStatCount(metrics_cold), 0u);
+
+    const std::string plain_warm = daemon.handleRequest(plain);
+    EXPECT_EQ(daemon.simulationsRun(), 2u);
+    EXPECT_TRUE(firstRunCached(plain_warm));
+    EXPECT_EQ(metricsStatCount(plain_warm), 0u);
+
+    // A payload an observation-only request stores is byte for byte
+    // the one the plain request stored: the config echo leaves the
+    // observation keys out.
+    ServeDaemon fresh(opts);
+    ServeJobSpec observed = kmJob(32768, 0.01);
+    observed.overrides.emplace_back("sim.audit", "true");
+    observed.overrides.emplace_back("sim.fastForward", "false");
+    const std::string observed_cold =
+        fresh.handleRequest(runRequest({observed}));
+    EXPECT_EQ(fresh.simulationsRun(), 1u);
+    EXPECT_EQ(rawResultText(observed_cold, 0), rawResultText(plain_cold, 0));
 }
 
 TEST(ServeDaemon, JobsThatWriteFilesOrStartThreadsAreRefused)
