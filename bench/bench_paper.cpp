@@ -200,9 +200,9 @@ class Cells
     }
 
     /**
-     * Run every cell once in one sweep. Exits non-zero when the sweep
-     * aborts or when any row failed (--keep-going), so no table ever
-     * averages in an error row.
+     * Run every cell once in one sweep. Exits non-zero, after every
+     * cell has run, when any row failed, so no table ever averages in
+     * an error row.
      */
     void
     run(const RunnerOptions& options)
@@ -230,13 +230,7 @@ class Cells
             }
             runner.submit(std::move(job));
         }
-        std::vector<SweepResult> results;
-        try {
-            results = runner.runAll();
-        } catch (const std::exception& e) {
-            std::cerr << "[apres-sweep] sweep aborted: " << e.what() << '\n';
-            std::exit(1);
-        }
+        std::vector<SweepResult> results = runner.runAll();
         const std::string failures = failureSummary(results);
         if (!failures.empty()) {
             std::cerr << "[apres-sweep] " << failures;
@@ -693,13 +687,13 @@ struct BenchOptions
 usage(const char* argv0, const std::vector<Figure>& figures)
 {
     std::cout << "usage: " << argv0
-              << " [--jobs N] [--job-timeout S] [--keep-going] [ID...]\n"
+              << " [--jobs N] [--job-timeout S] [ID...]\n"
               << "  --jobs N, -j N  sweep worker threads "
                  "(default: APRES_BENCH_JOBS or hardware concurrency)\n"
               << "  --job-timeout S per-job wall-clock deadline in "
                  "seconds (default: none)\n"
-              << "  --keep-going    run every job despite "
-                 "failures; exit non-zero with a summary\n"
+              << "  (every job runs; any failed job exits 1 with a "
+                 "summary)\n"
               << "  ID              print only these (default: all):";
     for (const Figure& fig : figures)
         std::cout << ' ' << fig.id;
@@ -733,8 +727,6 @@ parseArgs(int argc, char** argv, const std::vector<Figure>& figures)
         } else if (std::strcmp(arg, "--job-timeout") == 0) {
             opts.runner.jobTimeoutSeconds =
                 parsePositiveDoubleOption(arg, value());
-        } else if (std::strcmp(arg, "--keep-going") == 0) {
-            opts.runner.keepGoing = true;
         } else if (std::none_of(figures.begin(), figures.end(),
                                 [arg](const Figure& fig) {
                                     return std::strcmp(fig.id, arg) == 0;

@@ -26,10 +26,7 @@ errnoByName(const std::string& name)
     if (name == "eio") return EIO;
     if (name == "emfile") return EMFILE;
     if (name == "enfile") return ENFILE;
-    if (name == "eagain") return EAGAIN;
     if (name == "enoent") return ENOENT;
-    if (name == "epipe") return EPIPE;
-    if (name == "econnreset") return ECONNRESET;
     if (name == "enomem") return ENOMEM;
     return 0;
 }

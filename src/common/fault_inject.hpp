@@ -23,8 +23,8 @@
  *
  *   site=action[@occurrences][;site=action[@occurrences]...]
  *
- *   action:       enospc | eio | emfile | enfile | eagain | enoent |
- *                 epipe | econnreset | enomem | throw | sleep:<ms>
+ *   action:       enospc | eio | emfile | enfile | enoent | enomem |
+ *                 throw | sleep:<ms>
  *   occurrences:  N      fire on the Nth call only (1-based)
  *                 N-M    fire on calls N through M
  *                 N+     fire on every call from the Nth onward

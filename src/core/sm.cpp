@@ -336,7 +336,6 @@ bool
 Sm::tick(Cycle now)
 {
     now_ = now;
-    ++stats_.cycles;
 
     lsu_.tick(now); // load completions here clear readyClean_
 
@@ -389,7 +388,6 @@ void
 Sm::skipIdle(Cycle cycles)
 {
     // Exactly what `cycles` idle tick() calls would have recorded.
-    stats_.cycles += cycles;
     stats_.idleCycles += cycles;
 }
 

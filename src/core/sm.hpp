@@ -60,7 +60,6 @@ struct SmConfig
 /** Per-SM counters. */
 struct SmStats
 {
-    std::uint64_t cycles = 0;
     std::uint64_t issuedInstructions = 0;
     std::uint64_t issuedLoads = 0;
     std::uint64_t issuedStores = 0;
@@ -69,15 +68,6 @@ struct SmStats
     std::uint64_t prefetchesIssued = 0;///< accepted into the memory system
     std::uint64_t sharedAccesses = 0;  ///< scratchpad warp accesses
     std::uint64_t sharedConflictCycles = 0; ///< bank-conflict stalls
-
-    /** Instructions per cycle of this SM. */
-    double
-    ipc() const
-    {
-        return cycles ? static_cast<double>(issuedInstructions) /
-                            static_cast<double>(cycles)
-                      : 0.0;
-    }
 };
 
 /**

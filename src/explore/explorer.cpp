@@ -22,14 +22,8 @@
 namespace apres {
 namespace {
 
-/** Probe batches keep going: a failed probe row still lights bins. */
-RunnerOptions
-probeRunnerOptions()
-{
-    RunnerOptions opts;
-    opts.keepGoing = true;
-    return opts;
-}
+/** Chance that a round draws a fresh random kernel, not a mutation. */
+constexpr double kFreshBias = 0.25;
 
 /** Candidate name: admission counter + signature content hash. */
 std::string
@@ -46,9 +40,9 @@ candidateName(std::size_t index, const KernelSignature& sig)
 
 } // namespace
 
-Explorer::Explorer(ExploreOptions options) : opts_(std::move(options))
+Explorer::Explorer(ExploreOptions options)
+    : opts_(std::move(options)), probes_(defaultProbes())
 {
-    probes_ = opts_.probes.empty() ? defaultProbes() : opts_.probes;
 }
 
 std::vector<ProbeConfig>
@@ -140,7 +134,7 @@ Explorer::probeSignature(const KernelSignature& sig,
     // The probes are independent simulations: run them as one batch.
     // Results come back in submission order, so the bins do not
     // depend on the worker count.
-    SweepRunner runner(probeRunnerOptions());
+    SweepRunner runner;
     submitProbes(runner, sig, name);
     return probeBins(runner.runAll(), 0);
 }
@@ -164,7 +158,7 @@ Explorer::loadCorpus()
     // Every file is parsed (failing on the first bad one, in file
     // order) and queued before anything runs; then all their probes
     // run as one batch, and coverage grows in file order.
-    SweepRunner runner(probeRunnerOptions());
+    SweepRunner runner;
     std::vector<CorpusEntry> loaded;
     for (const std::string& path : files) {
         std::ifstream in(path);
@@ -226,7 +220,7 @@ Explorer::run()
         rec.round = round;
 
         KernelSignature sig;
-        if (corpus_.empty() || rng.nextDouble() < opts_.freshBias) {
+        if (corpus_.empty() || rng.nextDouble() < kFreshBias) {
             rec.mode = "fresh";
             sig = randomSignature(rng);
         } else {
@@ -314,7 +308,7 @@ Explorer::writeReport(std::ostream& os) const
     json.field("mode", "explore");
     json.field("seed", opts_.seed);
     json.field("budget", static_cast<std::uint64_t>(opts_.budget));
-    json.field("freshBias", opts_.freshBias);
+    json.field("freshBias", kFreshBias);
 
     json.beginArray("probes");
     for (const ProbeConfig& probe : probes_) {

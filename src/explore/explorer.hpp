@@ -65,14 +65,8 @@ struct ExploreOptions
      */
     std::string corpusDir;
 
-    /** Chance of a fresh random draw instead of a mutation. */
-    double freshBias = 0.25;
-
     /** Extra overrides applied to every probe (machine shaping). */
     std::vector<std::pair<std::string, std::string>> overrides;
-
-    /** Probes; empty selects defaultProbes(). */
-    std::vector<ProbeConfig> probes;
 };
 
 /** One corpus member. */

@@ -141,7 +141,6 @@ runCachedBatch(const std::vector<ServeJobSpec>& jobs,
             claim.emplace(*slots, misses.size());
             runner.threads = claim->count();
         }
-        runner.keepGoing = true; // errors become rows, the batch completes
         SweepRunner sweep(runner);
         for (SweepJob& job : misses)
             sweep.submit(std::move(job));

@@ -651,19 +651,13 @@ serveRoundTripWithRetry(const std::string& socket_path,
     for (int attempt = 0;; ++attempt) {
         if (attempts_out)
             *attempts_out = attempt + 1;
+        // A transport failure propagates: no retry reaches a daemon
+        // that is not there.
+        std::string response = serveRoundTrip(socket_path, request_json);
         std::uint64_t hint_ms = 0;
-        try {
-            std::string response = serveRoundTrip(socket_path, request_json);
-            // A real answer (result, error, pong, ...), or the last shed.
-            if (!isOverloadedResponse(response, &hint_ms) ||
-                attempt == kRetries) {
-                return response;
-            }
-        } catch (const SimError&) {
-            // Daemon restarting or socket not up yet: retryable.
-            if (attempt == kRetries)
-                throw;
-        }
+        // A real answer (result, error, pong, ...), or the last shed.
+        if (!isOverloadedResponse(response, &hint_ms) || attempt == kRetries)
+            return response;
 
         // Jittered exponential backoff, floored by the daemon's hint:
         // full-jitter on [delay/2, delay] decorrelates a thundering

@@ -220,14 +220,15 @@ std::string serveRoundTrip(const std::string& socket_path,
                            const std::string& request_json);
 
 /**
- * serveRoundTrip that retries on typed overloaded responses and on
- * transport failures (daemon restarting): up to 8 retries, sleeping
- * max(retryAfterMs hint, jittered exponential backoff) between
- * attempts. The backoff starts at 100 ms and doubles per retry up to
- * 5 s, with jitter seeded from the pid and the clock. Returns the
- * final response (possibly still "overloaded" when the retries ran
- * out); rethrows the final transport failure. @p attempts_out, when
- * non-null, receives the attempt count.
+ * serveRoundTrip that retries a typed overloaded shed: up to 8
+ * retries, sleeping max(retryAfterMs hint, jittered exponential
+ * backoff) between attempts. The backoff starts at 100 ms and doubles
+ * per retry up to 5 s, with jitter seeded from the pid and the clock.
+ * Returns the final response (possibly still "overloaded" when the
+ * retries ran out). A transport failure (no daemon on the path, a
+ * refused connection, a broken stream) is not retried: it throws from
+ * the attempt that met it. @p attempts_out, when non-null, receives
+ * the attempt count.
  */
 std::string serveRoundTripWithRetry(const std::string& socket_path,
                                     const std::string& request_json,

@@ -38,10 +38,10 @@ struct RunResult
 
     /**
      * Job outcome under fault-isolated sweeps: "ok", "error" (the
-     * simulation threw), "timeout" (the per-job wall-clock deadline
-     * expired) or "skipped" (the sweep aborted before this job ran). A
-     * directly-run Gpu always reports "ok" — failures propagate as
-     * exceptions; the sweep runner converts them into these rows.
+     * simulation threw) or "timeout" (the per-job wall-clock deadline
+     * expired). A directly-run Gpu always reports "ok" — failures
+     * propagate as exceptions; the sweep runner converts them into
+     * these rows.
      */
     std::string status = "ok";
     std::string errorKind;   ///< SimError kind name, empty when ok

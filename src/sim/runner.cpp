@@ -13,7 +13,6 @@
 #include <exception>
 #include <mutex>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 
 #include <unistd.h>
@@ -64,12 +63,6 @@ SweepRunner::submit(std::string label, const GpuConfig& config,
     return submit(std::move(job));
 }
 
-int
-SweepRunner::threadCount() const
-{
-    return opts.threads > 0 ? opts.threads : defaultJobCount();
-}
-
 namespace {
 
 /** Thrown by the interrupt hook when a job's deadline expires. */
@@ -81,15 +74,14 @@ struct JobTimeout
  * Run @p job once into @p slot. Fault isolation: the run sits under
  * try/catch plus an optional cooperative wall-clock deadline, and a
  * failure becomes a machine-readable error row instead of tearing the
- * process down. @return the failure, or null when the job succeeded.
+ * process down.
  */
-std::exception_ptr
+void
 runJob(const SweepJob& job, double timeout_seconds, SweepResult& slot)
 {
     const auto start = std::chrono::steady_clock::now();
     slot.label = job.label;
     RunResult& r = slot.result;
-    std::exception_ptr failure;
     try {
         // Chaos seam: sleep actions make deterministically slow jobs
         // for overload tests, throw actions exercise the error-row
@@ -115,25 +107,20 @@ runJob(const SweepJob& job, double timeout_seconds, SweepResult& slot)
             << "\" exceeded the per-job deadline of " << timeout_seconds
             << " s";
         r.errorDetail = msg.str();
-        failure = std::make_exception_ptr(
-            SimError(SimErrorKind::kDeadlock, r.errorDetail));
     } catch (const SimError& e) {
         r = RunResult{};
         r.status = "error";
         r.errorKind = e.kindName();
         r.errorDetail = e.detail();
-        failure = std::make_exception_ptr(e);
     } catch (const std::exception& e) {
         r = RunResult{};
         r.status = "error";
         r.errorKind = "InternalError";
         r.errorDetail = e.what();
-        failure = std::make_exception_ptr(std::runtime_error(r.errorDetail));
     }
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;
     slot.wallSeconds = wall.count();
-    return failure;
 }
 
 /** Progress reporting shared by the workers (serialized by a mutex). */
@@ -189,33 +176,15 @@ SweepRunner::runAll()
     if (jobs.empty())
         return results;
 
-    const int want = threadCount();
+    const int want = opts.threads > 0 ? opts.threads : defaultJobCount();
     const std::size_t workers = std::min<std::size_t>(
         static_cast<std::size_t>(want), jobs.size());
 
     ProgressLine progress(opts.progress, jobs.size());
     std::atomic<std::size_t> next{0};
-    std::atomic<bool> abort{false};
-    std::vector<char> started(jobs.size(), 0);
-    std::mutex failure_mu;
-    std::exception_ptr first_failure;
-
     const auto work = [&] {
-        for (;;) {
-            if (abort.load(std::memory_order_relaxed))
-                return;
-            const std::size_t i = next.fetch_add(1);
-            if (i >= jobs.size())
-                return;
-            started[i] = 1;
-            const std::exception_ptr failure =
-                runJob(jobs[i], opts.jobTimeoutSeconds, results[i]);
-            if (failure && !opts.keepGoing) {
-                const std::lock_guard<std::mutex> lock(failure_mu);
-                if (!first_failure)
-                    first_failure = failure;
-                abort.store(true, std::memory_order_relaxed);
-            }
+        for (std::size_t i = next++; i < jobs.size(); i = next++) {
+            runJob(jobs[i], opts.jobTimeoutSeconds, results[i]);
             progress.jobDone(results[i].label);
         }
     };
@@ -230,21 +199,6 @@ SweepRunner::runAll()
         for (std::thread& t : pool)
             t.join();
     }
-
-    // Jobs never picked after an abort become explicit "skipped" rows,
-    // so the result vector is always complete and self-describing.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (started[i])
-            continue;
-        SweepResult& slot = results[i];
-        slot.label = jobs[i].label;
-        slot.result.status = "skipped";
-        slot.result.errorDetail =
-            "not run: the sweep aborted after an earlier job failed";
-    }
-
-    if (first_failure)
-        std::rethrow_exception(first_failure);
     return results;
 }
 

@@ -28,7 +28,8 @@
  * (serve/batch.hpp), and the explorer's probes as one batch per
  * candidate. Each job runs once, under fault isolation and an optional
  * cooperative deadline; the simulator is deterministic, so re-running
- * a failed job would only repeat its failure.
+ * a failed job would only repeat its failure. A failed job is one row
+ * of a sweep that always runs to the end.
  */
 
 #ifndef APRES_SIM_RUNNER_HPP
@@ -76,15 +77,12 @@ struct RunnerOptions
     double jobTimeoutSeconds = 0.0;
 
     /**
-     * Fault isolation mode ("--keep-going"). A failed/timed-out job
-     * always becomes an error row (RunResult::status/errorKind/
-     * errorDetail) instead of tearing down the process. With
-     * keepGoing the sweep still runs every remaining job and returns
-     * the full result vector; without it the sweep stops picking new
-     * jobs and runAll() rethrows the first failure after the workers
-     * drain (jobs that never ran are marked "skipped").
+     * Reads nothing: every sweep runs to the end (see runAll()). The
+     * field survives only because the benchmark harness
+     * (perfbench/harness/{paper_suite,layers}.cpp) assigns it. Delete
+     * it with the next change to the benchmark, as SeedMode.
      */
-    bool keepGoing = false;
+    bool keepGoing = true;
 };
 
 /** One simulation to run: a config over a (shared, immutable) kernel. */
@@ -135,21 +133,17 @@ class SweepRunner
     std::size_t submit(std::string label, const GpuConfig& config,
                        std::shared_ptr<const Kernel> kernel);
 
-    /** Number of submitted jobs. */
-    std::size_t size() const { return jobs.size(); }
-
     /**
-     * Run every submitted job and return results in submission order.
-     * Blocks until the sweep drains. May be called once.
+     * Run every submitted job and return one row per job, in
+     * submission order. Blocks until the sweep drains. May be called
+     * once.
      *
      * Fault isolation: each job runs under try/catch and (when
-     * configured) a wall-clock deadline; see RunnerOptions::keepGoing
-     * for how failures propagate.
+     * configured) a wall-clock deadline, and a job that fails becomes
+     * an "error" or "timeout" row. A failure never stops the sweep and
+     * is never rethrown: callers read the rows (failureSummary()).
      */
     std::vector<SweepResult> runAll();
-
-    /** The thread count runAll() will use (after defaulting). */
-    int threadCount() const;
 
   private:
     RunnerOptions opts;
@@ -160,7 +154,7 @@ class SweepRunner
 /**
  * Human-readable summary of the failed rows in @p results, one line
  * per failure; empty when every job ran clean. Drivers print this and
- * exit non-zero under --keep-going.
+ * exit non-zero when it is not empty.
  */
 std::string failureSummary(const std::vector<SweepResult>& results);
 

@@ -58,8 +58,6 @@ printHelp()
         "                    discoveries there (default: in-memory)\n"
         "  --report FILE     write the campaign report JSON (default\n"
         "                    stdout)\n"
-        "  --fresh-bias F    chance of a fresh random kernel instead of\n"
-        "                    a mutation (default 0.25)\n"
         "  --set KEY=VALUE   extra config override for every probe\n"
         "                    (repeatable)\n\n"
         "compare mode (one simulation per (kernel, policy) cell):\n"
@@ -98,8 +96,6 @@ runExplore(const std::vector<std::string>& args)
             opts.corpusDir = next();
         } else if (arg == "--report") {
             report_path = next();
-        } else if (arg == "--fresh-bias") {
-            opts.freshBias = parsePositiveDoubleOption(arg, next());
         } else if (arg == "--set") {
             opts.overrides.push_back(KeyRegistry::parseAssignment(next()));
         } else if (arg == "--help") {

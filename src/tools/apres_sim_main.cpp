@@ -5,10 +5,10 @@
  * Runs one or more (workload, configuration) combinations and reports
  * the full statistics as text, CSV or JSON. The batch is a list of
  * ServeJobSpecs, built once: locally each spec is resolved like a
- * daemon job (resolveServeJob) and the jobs run as one keep-going
- * SweepRunner batch on APRES_BENCH_JOBS workers; with --connect the
- * same specs go to a running apres_serve. Output follows submission
- * order.
+ * daemon job (resolveServeJob) and the jobs run as one SweepRunner
+ * batch on APRES_BENCH_JOBS workers; with --connect the same specs go
+ * to a running apres_serve, whose JSON answer is printed as it came.
+ * Output follows submission order.
  *
  *   apres_sim --workload KM --apres
  *   apres_sim --workload all --sched ccws --pf str --csv results.csv
@@ -84,13 +84,15 @@ printHelp()
         "service mode:\n"
         "  --connect SOCKET  submit the batch to a running apres_serve\n"
         "                    daemon instead of simulating locally; the\n"
-        "                    raw JSON response is printed to stdout and\n"
-        "                    repeated configurations are answered from\n"
-        "                    its content-addressed result cache; a\n"
-        "                    typed overloaded shed or a failed\n"
-        "                    connection is retried up to 8 times with\n"
-        "                    jittered backoff (100 ms doubling to 5 s,\n"
-        "                    never under the daemon's retryAfterMs)\n\n"
+        "                    raw JSON response is printed to stdout\n"
+        "                    (so --csv, --quiet and --timeline are\n"
+        "                    rejected) and repeated configurations are\n"
+        "                    answered from its content-addressed result\n"
+        "                    cache; a typed overloaded shed is retried\n"
+        "                    up to 8 times with jittered backoff (100 ms\n"
+        "                    doubling to 5 s, never under the daemon's\n"
+        "                    retryAfterMs), a failed connection is\n"
+        "                    reported at once\n\n"
         "output (jobs run on APRES_BENCH_JOBS workers, default all\n"
         "cores, and print in order; --json prints failed jobs as error\n"
         "rows, the other modes list them on stderr; any failure exits 1):\n"
@@ -287,6 +289,17 @@ run(int argc, char** argv)
             fatal("unknown option: " + arg + " (try --help)");
         }
     }
+    // With --connect the daemon's answer is printed as it came, one
+    // JSON document, so the flags that shape local output do not apply.
+    const char* local_output = !csv_path.empty() ? "--csv"
+        : quiet                                  ? "--quiet"
+        : !timeline_path.empty()                 ? "--timeline"
+                                                 : nullptr;
+    if (!connect_path.empty() && local_output) {
+        throwConfigError(std::string(local_output) +
+                         " does not apply with --connect, which prints "
+                         "the daemon's JSON response");
+    }
 
     GpuConfig cfg;
     ConfigRegistry registry(cfg);
@@ -332,9 +345,7 @@ run(int argc, char** argv)
     std::vector<TimelineRecorder> recorders;
     if (!timeline_path.empty())
         recorders.assign(jobs.size(), TimelineRecorder(timeline_interval));
-    RunnerOptions options;
-    options.keepGoing = true;
-    SweepRunner runner(options);
+    SweepRunner runner;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (!recorders.empty()) {
             jobs[i].drive = [&recorder = recorders[i]](Gpu& gpu) {

@@ -11,6 +11,11 @@ CASE is one of:
                      before any run; with one job it writes the trace
   timeline-workload  every --timeline row names its workload, in
                      submission order
+  connect-output-flags
+                     --connect with --csv, --quiet or --timeline is a
+                     ConfigError naming the flag, before connecting
+  connect-fails-fast a missing socket file and one nothing listens on
+                     are reported at once, not retried
 
 Exits 0 when the case holds, 1 with a message otherwise.
 """
@@ -18,9 +23,11 @@ Exits 0 when the case holds, 1 with a message otherwise.
 import csv
 import json
 import os
+import socket
 import subprocess
 import sys
 import tempfile
+import time
 
 # Table IV order: the order `--workload all` submits and prints.
 ALL = ["BFS", "MUM", "NW", "SPMV", "KM", "LUD", "SRAD", "PA", "HISTO",
@@ -101,11 +108,57 @@ def case_timeline_workload(sim):
                r)
 
 
+def case_connect_output_flags(sim):
+    with tempfile.TemporaryDirectory() as tmp:
+        sock = os.path.join(tmp, "no-daemon.sock")
+        out = os.path.join(tmp, "out.csv")
+        for flag, args in [("--csv", ["--csv", out]),
+                           ("--quiet", ["--quiet"]),
+                           ("--timeline", ["--timeline", out])]:
+            r = run(sim, "--connect", sock, "--workload", "KM",
+                    "--scale", "0.01", *args)
+            expect(r.returncode == 1, flag + ": exit code 1", r)
+            expect("ConfigError" in r.stderr and flag in r.stderr and
+                   "connect" in r.stderr and sock not in r.stderr,
+                   flag + ": a ConfigError naming the flag, not the "
+                   "socket", r)
+            expect(r.stdout == "" and not os.path.exists(out),
+                   flag + ": nothing on stdout and no file", r)
+        # The output is JSON either way, so --json stays accepted.
+        r = run(sim, "--connect", sock, "--workload", "KM",
+                "--scale", "0.01", "--json")
+        expect(r.returncode == 1 and sock in r.stderr,
+               "--json reaches the connection", r)
+
+
+def case_connect_fails_fast(sim):
+    with tempfile.TemporaryDirectory() as tmp:
+        missing = os.path.join(tmp, "missing.sock")
+        stale = os.path.join(tmp, "stale.sock")
+        # A socket file nothing listens on, as a dead daemon leaves.
+        s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        s.bind(stale)
+        s.close()
+        for path, reason in [(missing, "No such file or directory"),
+                             (stale, "Connection refused")]:
+            start = time.monotonic()
+            r = run(sim, "--connect", path, "--workload", "KM",
+                    "--scale", "0.01")
+            wall = time.monotonic() - start
+            expect(r.returncode == 1, path + ": exit code 1", r)
+            expect(wall < 2.0, "%s: reported in %.2f s" % (path, wall), r)
+            expect(r.stdout == "", path + ": nothing on stdout", r)
+            expect(path in r.stderr and reason in r.stderr,
+                   path + ": stderr names the path and " + reason, r)
+
+
 CASES = {
     "unknown-workload": case_unknown_workload,
     "deadlock-rows": case_deadlock_rows,
     "trace-one-job": case_trace_one_job,
     "timeline-workload": case_timeline_workload,
+    "connect-output-flags": case_connect_output_flags,
+    "connect-fails-fast": case_connect_fails_fast,
 }
 
 

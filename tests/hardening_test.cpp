@@ -3,7 +3,7 @@
  * Hardened-core tests: the invariant auditor (seeded fault
  * injections must be detected), the forward-progress watchdog, the
  * barrier early-exit regression, and fault-isolated sweeps
- * (error/timeout/skipped rows, --keep-going semantics).
+ * (error/timeout rows; every sweep runs to the end).
  */
 
 #include <gtest/gtest.h>
@@ -342,7 +342,7 @@ TEST(Barrier, EarlyExitingWarpReleasesSiblings)
 }
 
 // --------------------------------------------------------------------
-// Fault-isolated sweeps: error/timeout/skip rows, keep-going.
+// Fault-isolated sweeps: error/timeout rows, every job runs.
 // --------------------------------------------------------------------
 
 TEST(Runner, KeepGoingConvertsFailuresToErrorRows)
@@ -365,7 +365,6 @@ TEST(Runner, KeepGoingConvertsFailuresToErrorRows)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.keepGoing = true;
     opts.jobTimeoutSeconds = 0.25;
     SweepRunner runner(opts);
     runner.submit("ok-job", ok, kernel);
@@ -394,20 +393,30 @@ TEST(Runner, KeepGoingConvertsFailuresToErrorRows)
     EXPECT_NE(summary.find("wedged-job"), std::string::npos) << summary;
 }
 
-TEST(Runner, FirstFailurePropagatesWithoutKeepGoing)
+TEST(Runner, EveryJobRunsPastAFailure)
 {
     const auto kernel = smallKernel();
-    GpuConfig broken = auditedGpu();
-    broken.audit = false;
+    GpuConfig ok = auditedGpu();
+    ok.audit = false;
+    GpuConfig broken = ok;
     broken.scheduler = "gto";
-    broken.prefetcher = "sap";
+    broken.prefetcher = "sap"; // SAP without LAWS: ConfigError
 
+    // Default options on one worker: the failed job runs first, and
+    // the clean one after it must still run.
     RunnerOptions opts;
     opts.threads = 1;
     SweepRunner runner(opts);
     runner.submit("broken-job", broken, kernel);
-    expectSimError(SimErrorKind::kConfig, "requires the LAWS scheduler",
-                   [&] { runner.runAll(); });
+    runner.submit("ok-job", ok, kernel);
+
+    std::vector<SweepResult> results;
+    ASSERT_NO_THROW(results = runner.runAll());
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].result.status, "error");
+    EXPECT_EQ(results[0].result.errorKind, "ConfigError");
+    EXPECT_EQ(results[1].result.status, "ok");
+    EXPECT_TRUE(results[1].result.completed);
 }
 
 TEST(Runner, DeadlockBecomesErrorRowUnderKeepGoing)
@@ -422,7 +431,6 @@ TEST(Runner, DeadlockBecomesErrorRowUnderKeepGoing)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.keepGoing = true;
     SweepRunner runner(opts);
     runner.submit("wedged-job", wedged, kernel);
 
@@ -593,7 +601,6 @@ TEST(ParallelFaults, RunnerTimeoutRowUnderSharding)
 
     RunnerOptions opts;
     opts.threads = 1;
-    opts.keepGoing = true;
     opts.jobTimeoutSeconds = 0.25;
     SweepRunner runner(opts);
     runner.submit("wedged-par-job", wedged, kernel);

@@ -147,6 +147,9 @@ TEST_F(FaultInjection, MalformedSpecsAreRejected)
     expectSimError(SimErrorKind::kConfig, "badaction", [] {
         FaultInjector::instance().configure("a.b=badaction");
     });
+    expectSimError(SimErrorKind::kConfig, "eagain", [] {
+        FaultInjector::instance().configure("a.b=eagain");
+    });
     expectSimError(SimErrorKind::kConfig, "occurrence", [] {
         FaultInjector::instance().configure("a.b=eio@0");
     });
